@@ -66,6 +66,8 @@ def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         s = args.seed
+        if s < 0:
+            raise ConfigError("--seed must be a non-negative integer")
         cfg = replace(
             cfg,
             seeds=Seeds(sample=s, data=s + 1, eval=s + 2),

@@ -1,25 +1,27 @@
-"""Run configuration: typed blocks, JSON round-trip, named presets.
+"""Run configuration: typed blocks and their JSON round-trip.
 
 A run is described by one JSON document with blocks for the noise
 schedule, the data oracle, the checkpoint trajectory, the sampler, the
-tuner, seeds, and an output directory. Every block validates against the
-same contracts the library enforces, and parse errors name the offending
-field by dotted path (for example "tuner.batch").
+tuner, seeds, and an output directory. Parsing is generic over the
+dataclass fields below: it rejects unknown keys and wrong JSON types,
+then builds the library objects, so every value rule is the library's
+own. Errors name the offending field by dotted path (for example
+"tuner.batch").
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
-import numpy as np
-
-from .errors import ConfigError
-from .oracle import ORACLE_PRESETS, GaussianMixtureOracle
-from .samplers import SAMPLER_KINDS
-from .schedule import T_EPS_FRACTION, NoiseSchedule
-from .trajectory import TRAJECTORY_KINDS, Trajectory, make_trajectory
+from .errors import ConfigError, DomainError
+from .oracle import GaussianMixtureOracle, make_oracle
+from .rng import check_seed
+from .samplers import SamplerConfig
+from .schedule import NoiseSchedule
+from .trajectory import Trajectory, make_trajectory
 from .tuner import TunerConfig
 
 
@@ -44,22 +46,12 @@ class OracleBlock:
     scales: list = field(default_factory=list)
     weights: list = field(default_factory=list)
 
-    @property
-    def explicit(self) -> bool:
-        return bool(self.means)
-
     def build(self, schedule: NoiseSchedule) -> GaussianMixtureOracle:
-        if self.explicit:
+        if self.means:
             return GaussianMixtureOracle(
-                schedule=schedule,
-                means=np.asarray(self.means, dtype=float),
-                scales=np.asarray(self.scales, dtype=float),
-                weights=np.asarray(self.weights, dtype=float),
+                schedule=schedule, means=self.means, scales=self.scales, weights=self.weights
             )
-        maker = ORACLE_PRESETS[self.preset]
-        if self.preset == "standard":
-            return maker(schedule, dim=self.dim)
-        return maker(schedule)
+        return make_oracle(self.preset, schedule, dim=self.dim)
 
 
 @dataclass(frozen=True)
@@ -84,6 +76,10 @@ class Seeds:
     data: int = 1
     eval: int = 2
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            check_seed(getattr(self, f.name), f.name)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -102,178 +98,51 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _expect_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
-
-def _take(block: dict, key: str, path: str, kind, default):
-    if key not in block:
-        if default is _REQUIRED:
-            raise ConfigError(f"{path}.{key}: missing required field")
-        return default
-    value = block.pop(key)
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}.{key}: expected a string, got {value!r}")
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}.{key}: expected a list, got {value!r}")
-        return value
-    raise AssertionError(f"unknown field kind {kind}")
+# JSON types accepted for each annotated field type; bool is not a number
+_JSON_TYPES = {float: (int, float), int: int, str: str, list: list}
 
 
-def _reject_unknown(block: dict, path: str) -> None:
-    if block:
-        key = sorted(block)[0]
-        raise ConfigError(f"{path}.{key}: unknown field")
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a library DomainError ("field: ...")
+    re-raised as a ConfigError at the dotted path "path.field: ..."."""
+    try:
+        return make(*args, **kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
-_REQUIRED = object()
-
-
-def _choice(value: str, choices, path: str) -> str:
-    if value not in choices:
-        raise ConfigError(f"{path}: must be one of {sorted(choices)}, got {value!r}")
-    return value
+def _parse(cls, doc, path: str):
+    """Instance of dataclass cls from a JSON object, omitted keys defaulted."""
+    where = path or "config"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(doc).__name__}")
+    hints = get_type_hints(cls)
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}: unknown field")
+    kwargs = {}
+    for name, value in doc.items():
+        kind = hints[name]
+        field_path = f"{path}.{name}" if path else name
+        if is_dataclass(kind):
+            kwargs[name] = _parse(kind, value, field_path)
+            continue
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+            raise ConfigError(f"{field_path}: expected {kind.__name__}, got {value!r}")
+        kwargs[name] = float(value) if kind is float else value
+    return _build(where, cls, **kwargs)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    doc = dict(_expect_mapping(doc, "config"))
-    cfg = ExperimentConfig()
-
-    if "schedule" in doc:
-        b = dict(_expect_mapping(doc.pop("schedule"), "schedule"))
-        sched = ScheduleBlock(
-            kind=_choice(
-                _take(b, "kind", "schedule", str, "linear-vp"),
-                ("linear-vp",),
-                "schedule.kind",
-            ),
-            beta_min=_take(b, "beta_min", "schedule", float, 1e-4),
-            beta_max=_take(b, "beta_max", "schedule", float, 0.02),
-            T=_take(b, "T", "schedule", float, 1000.0),
-        )
-        _reject_unknown(b, "schedule")
-        if not 0.0 < sched.beta_min < sched.beta_max:
-            raise ConfigError("schedule.beta_min: need 0 < beta_min < beta_max")
-        if sched.T <= 0.0:
-            raise ConfigError("schedule.T: must be positive")
-        cfg = replace(cfg, schedule=sched)
-
-    if "oracle" in doc:
-        b = dict(_expect_mapping(doc.pop("oracle"), "oracle"))
-        oracle = OracleBlock(
-            preset=_choice(
-                _take(b, "preset", "oracle", str, "gmm8"),
-                tuple(ORACLE_PRESETS),
-                "oracle.preset",
-            ),
-            dim=_take(b, "dim", "oracle", int, 2),
-            means=_take(b, "means", "oracle", list, []),
-            scales=_take(b, "scales", "oracle", list, []),
-            weights=_take(b, "weights", "oracle", list, []),
-        )
-        _reject_unknown(b, "oracle")
-        if oracle.dim < 1:
-            raise ConfigError("oracle.dim: must be a positive integer")
-        if oracle.explicit and not (oracle.scales and oracle.weights):
-            raise ConfigError(
-                "oracle.means: explicit mixtures need means, scales and weights"
-            )
-        cfg = replace(cfg, oracle=oracle)
-
-    if "trajectory" in doc:
-        b = dict(_expect_mapping(doc.pop("trajectory"), "trajectory"))
-        traj = TrajectoryBlock(
-            kind=_choice(
-                _take(b, "kind", "trajectory", str, "quadratic"),
-                TRAJECTORY_KINDS,
-                "trajectory.kind",
-            ),
-            K=_take(b, "K", "trajectory", int, 10),
-            t_min=_take(b, "t_min", "trajectory", float, 0.0),
-        )
-        _reject_unknown(b, "trajectory")
-        if traj.K < 1:
-            raise ConfigError("trajectory.K: must be a positive integer")
-        if not 0.0 <= traj.t_min < cfg.schedule.T:
-            raise ConfigError("trajectory.t_min: must lie in [0, T)")
-        cfg = replace(cfg, trajectory=traj)
-
-    if "sampler" in doc:
-        b = dict(_expect_mapping(doc.pop("sampler"), "sampler"))
-        sampler = SamplerBlock(
-            kind=_choice(
-                _take(b, "kind", "sampler", str, "ddim-family"),
-                SAMPLER_KINDS,
-                "sampler.kind",
-            ),
-            eta=_take(b, "eta", "sampler", float, 0.0),
-        )
-        _reject_unknown(b, "sampler")
-        if not 0.0 <= sampler.eta <= 1.0:
-            raise ConfigError("sampler.eta: must lie in [0, 1]")
-        cfg = replace(cfg, sampler=sampler)
-
-    if "tuner" in doc:
-        b = dict(_expect_mapping(doc.pop("tuner"), "tuner"))
-        kwargs = {
-            "strategy": _choice(
-                _take(b, "strategy", "tuner", str, "sequential"),
-                ("sequential", "parallel"),
-                "tuner.strategy",
-            ),
-            "batch": _take(b, "batch", "tuner", int, 4096),
-            "coarse_grid": _take(b, "coarse_grid", "tuner", int, 33),
-            "refine_tol": _take(b, "refine_tol", "tuner", float, 0.01),
-            "bounds": _choice(
-                _take(b, "bounds", "tuner", str, "interval"),
-                ("interval", "wide"),
-                "tuner.bounds",
-            ),
-            "seed": _take(b, "seed", "tuner", int, 0),
-        }
-        _reject_unknown(b, "tuner")
-        if kwargs["batch"] < 1:
-            raise ConfigError("tuner.batch: must be a positive integer")
-        if kwargs["coarse_grid"] < 3:
-            raise ConfigError("tuner.coarse_grid: must be at least 3")
-        if kwargs["refine_tol"] <= 0.0:
-            raise ConfigError("tuner.refine_tol: must be positive")
-        cfg = replace(cfg, tuner=TunerConfig(**kwargs))
-
-    if "seeds" in doc:
-        b = dict(_expect_mapping(doc.pop("seeds"), "seeds"))
-        seeds = Seeds(
-            sample=_take(b, "sample", "seeds", int, 0),
-            data=_take(b, "data", "seeds", int, 1),
-            eval=_take(b, "eval", "seeds", int, 2),
-        )
-        _reject_unknown(b, "seeds")
-        cfg = replace(cfg, seeds=seeds)
-
-    if "out_dir" in doc:
-        out_dir = doc.pop("out_dir")
-        if not isinstance(out_dir, str):
-            raise ConfigError(f"out_dir: expected a string, got {out_dir!r}")
-        cfg = replace(cfg, out_dir=out_dir)
-
-    _reject_unknown(doc, "config")
-    t_eps = cfg.schedule.T * T_EPS_FRACTION
-    if cfg.sampler.kind == "dpm-solver-2" and cfg.trajectory.t_min < t_eps:
+    cfg = _parse(ExperimentConfig, doc, "")
+    schedule = _build("schedule", cfg.schedule.build)
+    _build("oracle", cfg.oracle.build, schedule)
+    _build("trajectory", cfg.trajectory.build, schedule)
+    _build("sampler", SamplerConfig, cfg.sampler.kind, cfg.sampler.eta)
+    if cfg.sampler.kind == "dpm-solver-2" and cfg.trajectory.t_min < schedule.t_eps:
         raise ConfigError(
             "trajectory.t_min: the two-evaluation sampler needs "
-            f"t_min >= t_eps ({t_eps!r} for this schedule)"
+            f"t_min >= t_eps ({schedule.t_eps!r} for this schedule)"
         )
     return cfg
 
@@ -287,13 +156,3 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(doc)
-
-
-PRESET_CONFIGS = {
-    "gmm8-ddim": ExperimentConfig(),
-    "gmm8-dpm2": ExperimentConfig(
-        sampler=SamplerBlock(kind="dpm-solver-2"),
-        trajectory=TrajectoryBlock(t_min=1000.0 * T_EPS_FRACTION),
-    ),
-    "standard-ddim": ExperimentConfig(oracle=OracleBlock(preset="standard")),
-}

@@ -21,6 +21,16 @@ from .rng import PURPOSE_DATA, per_sample_map
 from .schedule import NoiseSchedule
 
 
+def _as_floats(name: str, value) -> np.ndarray:
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise DomainError(f"{name}: expected a rectangular array of numbers") from exc
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name}: expected numbers, got {value!r}")
+    return np.asarray(arr, dtype=float)
+
+
 @dataclass(frozen=True)
 class GaussianMixtureOracle:
     schedule: NoiseSchedule
@@ -29,19 +39,22 @@ class GaussianMixtureOracle:
     weights: np.ndarray  # (n_components,), sums to 1
 
     def __post_init__(self) -> None:
-        means = np.atleast_2d(np.asarray(self.means, dtype=float))
-        scales = np.asarray(self.scales, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        means = np.atleast_2d(_as_floats("means", self.means))
+        scales = _as_floats("scales", self.scales)
+        weights = _as_floats("weights", self.weights)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "weights", weights)
+        if means.ndim != 2 or means.shape[1] == 0:
+            raise DomainError(f"means: need shape (components, dim >= 1), got {means.shape}")
         k = means.shape[0]
-        if scales.shape != (k,) or weights.shape != (k,):
-            raise DomainError("means, scales and weights disagree on component count")
+        for name, arr in (("scales", scales), ("weights", weights)):
+            if arr.shape != (k,):
+                raise DomainError(f"{name}: need one entry per component, got {arr.shape}")
         if np.any(scales <= 0):
-            raise DomainError("all component scales must be positive")
+            raise DomainError("scales: must all be positive")
         if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise DomainError("weights must be positive and sum to 1")
+            raise DomainError("weights: must be positive and sum to 1")
 
     @property
     def dim(self) -> int:
@@ -129,4 +142,12 @@ def standard_gaussian(schedule: NoiseSchedule, dim: int = 2) -> GaussianMixtureO
     )
 
 
-ORACLE_PRESETS = {"gmm8": gmm8, "standard": standard_gaussian}
+def make_oracle(preset: str, schedule: NoiseSchedule, dim: int = 2) -> GaussianMixtureOracle:
+    """Named mixture; dim is the dimension of the standard preset."""
+    if dim < 1:
+        raise DomainError(f"dim: must be >= 1, got {dim}")
+    if preset == "gmm8":
+        return gmm8(schedule)
+    if preset == "standard":
+        return standard_gaussian(schedule, dim)
+    raise DomainError(f"preset: unknown oracle preset {preset!r}")

@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import DomainError
+
 # Purpose tags keep seed key tuples disjoint across uses of the same master
 # seed. Values are arbitrary but frozen: changing them changes all outputs.
 PURPOSE_TUNE = 1
@@ -25,6 +27,12 @@ PURPOSE_PROJ = 5
 # Workers grab sample indices in fixed blocks of this size. The block size
 # only affects scheduling, not values.
 _BLOCK = 256
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Seeds are SeedSequence entropy, which must be a non-negative integer."""
+    if seed < 0:
+        raise DomainError(f"{name}: must be >= 0, got {seed}")
 
 
 def derive_rng(*key: int) -> np.random.Generator:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .oracle import GaussianMixtureOracle
-from .rng import PURPOSE_PATHS, derive_rng
+from .rng import PURPOSE_PATHS, check_seed, derive_rng
 from .trajectory import TunedTrajectory, midpoint_time
 
 SAMPLER_KINDS = ("ddim-family", "dpm-solver-2")
@@ -33,9 +33,10 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in SAMPLER_KINDS:
-            raise DomainError(f"unknown sampler kind: {self.kind!r}")
+            raise DomainError(f"kind: unknown sampler kind {self.kind!r}")
         if not (0.0 <= self.eta <= 1.0):
-            raise DomainError(f"eta must lie in [0, 1], got {self.eta}")
+            raise DomainError(f"eta: must lie in [0, 1], got {self.eta}")
+        check_seed(self.seed)
 
     @property
     def deterministic(self) -> bool:
@@ -108,18 +109,7 @@ def ddim_step_baseline(
     noise: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The plain solver step: conditioning time equal to the source time."""
-    _check_interval(t_from, t_to)
-    sched = model.schedule
-    if eta > 0.0 and noise is None:
-        raise ContractError("eta > 0 requires a noise array")
-    a_from, s_from = sched.alpha_sigma(t_from)
-    a_to, s_to = sched.alpha_sigma(t_to)
-    eps_hat = model.epsilon(x, t_from)
-    if eta == 0.0:
-        return _deterministic_part(x, a_from, s_from, a_to, s_to, eps_hat)
-    sig_eta = _eta_noise_scale(eta, a_from, s_from, a_to, s_to)
-    s_to_eff = sqrt(max(0.0, s_to * s_to - sig_eta * sig_eta))
-    return _deterministic_part(x, a_from, s_from, a_to, s_to_eff, eps_hat) + sig_eta * noise
+    return ddim_step(x, t_from, t_to, t_from, model, eta, noise)
 
 
 def dpm_solver2_step(

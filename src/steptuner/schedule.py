@@ -44,11 +44,13 @@ class NoiseSchedule:
 
     def __post_init__(self) -> None:
         if self.kind != "linear-vp":
-            raise DomainError(f"unknown schedule kind: {self.kind!r}")
-        if not (0 < self.beta_min <= self.beta_max):
-            raise DomainError("schedule requires 0 < beta_min <= beta_max")
+            raise DomainError(f"kind: unknown schedule kind {self.kind!r}")
+        if not (0 < self.beta_min):
+            raise DomainError(f"beta_min: must be positive, got {self.beta_min}")
+        if not (self.beta_min <= self.beta_max):
+            raise DomainError(f"beta_max: must be >= beta_min, got {self.beta_max}")
         if not (self.T > 0):
-            raise DomainError("schedule horizon T must be positive")
+            raise DomainError(f"T: must be positive, got {self.T}")
 
     @property
     def t_eps(self) -> float:

@@ -15,8 +15,6 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .schedule import NoiseSchedule
 
-TRAJECTORY_KINDS = ("uniform", "quadratic", "log-snr")
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -105,10 +103,10 @@ def make_trajectory(
     log-snr:   equal lambda spacing; endpoints forced to t_min and T
     """
     if K < 1:
-        raise DomainError(f"K must be >= 1, got {K}")
+        raise DomainError(f"K: must be >= 1, got {K}")
     T = schedule.T
     if not (0 <= t_min < T):
-        raise DomainError(f"t_min must satisfy 0 <= t_min < T, got {t_min}")
+        raise DomainError(f"t_min: must lie in [0, T), got {t_min}")
     frac = np.arange(K + 1) / K
     if kind == "uniform":
         pts = t_min + (T - t_min) * frac
@@ -121,7 +119,7 @@ def make_trajectory(
         pts = np.array([schedule.t_from_log_snr(lam) for lam in lams])
         pts[0], pts[-1] = t_min, T
     else:
-        raise DomainError(f"unknown trajectory kind: {kind!r}")
+        raise DomainError(f"kind: unknown trajectory kind {kind!r}")
     pts[-1] = T
     return Trajectory(points=pts, kind=kind, K=K)
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .oracle import GaussianMixtureOracle
-from .rng import PURPOSE_TUNE, derive_rng, per_sample_map
+from .rng import PURPOSE_TUNE, check_seed, per_sample_map
 from .samplers import SamplerConfig, ddim_step, dpm_solver2_step
 from .trajectory import (
     Trajectory,
@@ -55,15 +55,16 @@ class TunerConfig:
 
     def __post_init__(self) -> None:
         if self.strategy not in TUNER_STRATEGIES:
-            raise DomainError(f"unknown tuner strategy: {self.strategy!r}")
+            raise DomainError(f"strategy: unknown tuner strategy {self.strategy!r}")
         if self.bounds not in TUNER_BOUNDS:
-            raise DomainError(f"unknown bounds mode: {self.bounds!r}")
+            raise DomainError(f"bounds: unknown bounds mode {self.bounds!r}")
         if self.batch < 1:
-            raise DomainError("tuner batch must be >= 1")
+            raise DomainError(f"batch: must be >= 1, got {self.batch}")
         if self.coarse_grid < 3:
-            raise DomainError("coarse grid needs at least 3 points")
+            raise DomainError(f"coarse_grid: must be >= 3, got {self.coarse_grid}")
         if not (self.refine_tol > 0):
-            raise DomainError("refinement tolerance must be positive")
+            raise DomainError(f"refine_tol: must be positive, got {self.refine_tol}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -173,12 +174,13 @@ class _LossContext:
         self.target = model.epsilon(x, self.t_from)
         self.batch = batch
 
-    def loss(self, taus: Sequence[float]) -> LossEstimate:
+    def _score(self, taus: Sequence[float], target: np.ndarray) -> LossEstimate:
+        """Mean squared distance of the stepped state's prediction to target."""
         y = _apply_step(
             self.state, self.t_from, self.t_to, taus, self.model, self.sampler,
             self.step_noise,
         )
-        d = self.model.epsilon(y, self.t_cond) - self.target
+        d = self.model.epsilon(y, self.t_cond) - target
         per_sample = np.sum(d * d, axis=1)
         value = float(per_sample.mean())
         stderr = (
@@ -188,6 +190,9 @@ class _LossContext:
             raise NumericError(f"non-finite loss at conditioning times {taus}")
         return LossEstimate(value=value, stderr=stderr, batch=self.batch)
 
+    def loss(self, taus: Sequence[float]) -> LossEstimate:
+        return self._score(taus, self.target)
+
     def denoising_loss(self, taus: Sequence[float]) -> LossEstimate:
         """Same stepped state scored against the batch's true noise.
 
@@ -195,19 +200,8 @@ class _LossContext:
         an exact forward sample, where the true noise is the posterior
         target the model itself regresses to.
         """
-        y = _apply_step(
-            self.state, self.t_from, self.t_to, taus, self.model, self.sampler,
-            self.step_noise,
-        )
         alpha_i, sigma_i = self.model.schedule.alpha_sigma(self.t_from)
-        true_noise = (self.state - alpha_i * self.x0) / sigma_i
-        d = self.model.epsilon(y, self.t_cond) - true_noise
-        per_sample = np.sum(d * d, axis=1)
-        value = float(per_sample.mean())
-        stderr = (
-            float(per_sample.std(ddof=1) / sqrt(self.batch)) if self.batch > 1 else 0.0
-        )
-        return LossEstimate(value=value, stderr=stderr, batch=self.batch)
+        return self._score(taus, (self.state - alpha_i * self.x0) / sigma_i)
 
 
 def loss_sequential(
@@ -328,9 +322,10 @@ def tune(
     pts = traj.points
     sched = model.schedule
     per_step = evaluations_per_step(sampler.kind)
+    # one slot per evaluation site, step-ascending: per_step*(i-1) + site
     taus = np.empty(per_step * traj.K)
-    bounds_out = []
-    records = []
+    bounds = [None] * len(taus)
+    records = [None] * len(taus)
     chosen: list = []  # per-step site tuples, rollout order K..i+1
     for i in range(traj.K, 0, -1):
         ctx = _LossContext(
@@ -364,35 +359,23 @@ def tune(
             flags = [False] * per_step
             tuned_est = base_est
         for site_idx in range(per_step):
-            records.append(
-                TuneRecord(
-                    step=i,
-                    t_site=float(baseline_sites[site_idx]),
-                    tau=float(sites[site_idx]),
-                    loss_baseline=base_est.value,
-                    loss_tuned=tuned_est.value,
-                    stderr=tuned_est.stderr,
-                    boundary=bool(flags[site_idx]),
-                )
+            slot = per_step * (i - 1) + site_idx
+            taus[slot] = sites[site_idx]
+            bounds[slot] = (lo, hi)
+            records[slot] = TuneRecord(
+                step=i,
+                t_site=float(baseline_sites[site_idx]),
+                tau=float(sites[site_idx]),
+                loss_baseline=base_est.value,
+                loss_tuned=tuned_est.value,
+                stderr=tuned_est.stderr,
+                boundary=bool(flags[site_idx]),
             )
-            bounds_out.append((lo, hi))
-            taus[per_step * (i - 1) + site_idx] = sites[site_idx]
         chosen.append(tuple(sites))
-    # bounds were accumulated step-descending; reorder to step-ascending
-    bounds_out = bounds_out[::-1] if per_step == 1 else _reorder_bounds(bounds_out, per_step)
     tuned = TunedTrajectory(
-        base=traj, taus=taus, bounds=bounds_out, sampler_kind=sampler.kind
+        base=traj, taus=taus, bounds=bounds, sampler_kind=sampler.kind
     )
-    records.sort(key=lambda r: r.step)  # stable: site order kept within a step
     return tuned, records
-
-
-def _reorder_bounds(bounds_desc: list, per_step: int) -> list:
-    out = []
-    n_steps = len(bounds_desc) // per_step
-    for s in range(n_steps - 1, -1, -1):
-        out.extend(bounds_desc[per_step * s : per_step * (s + 1)])
-    return out
 
 
 def diagnostic_loss_curves(

@@ -1,17 +1,26 @@
 """Config parsing and the command line driver, run in process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from steptuner import cli
 from steptuner.config import (
-    PRESET_CONFIGS,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
     load_config,
 )
+from steptuner.errors import DomainError
+from steptuner.oracle import GaussianMixtureOracle, make_oracle
+from steptuner.rng import check_seed
+from steptuner.samplers import SamplerConfig
+from steptuner.schedule import NoiseSchedule
+from steptuner.trajectory import make_trajectory
+from steptuner.tuner import TunerConfig
+
+CONFIG_FILES = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
 
 
 def _small_cfg(tmp_path, **overrides):
@@ -32,9 +41,12 @@ def _small_cfg(tmp_path, **overrides):
 
 
 def test_config_json_round_trip():
-    for name, cfg in PRESET_CONFIGS.items():
-        again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert again == cfg, name
+    assert [p.stem for p in CONFIG_FILES] == ["gmm8", "gmm8_dpm2", "standard"]
+    for path in CONFIG_FILES:
+        cfg = load_config(path)
+        assert cfg.to_dict() == json.loads(path.read_text()), path.name
+        again = config_from_dict(json.loads(cfg.to_json()))
+        assert again == cfg, path.name
     default = ExperimentConfig()
     assert config_from_dict(default.to_dict()) == default
 
@@ -74,12 +86,108 @@ def test_config_cross_field_check_for_two_evaluation_solver():
 
 
 def test_preset_configs_build():
-    for name, cfg in PRESET_CONFIGS.items():
+    for path in CONFIG_FILES:
+        cfg = load_config(path)
         sched = cfg.schedule.build()
         model = cfg.oracle.build(sched)
         traj = cfg.trajectory.build(sched)
         assert traj.K >= 1
-        assert model.dim >= 1, name
+        assert model.dim >= 1, path.name
+
+
+# One row per (block, field, value): the library constructor and the config
+# parser must agree on accept/reject, and a config rejection names the field.
+_MIXTURE = {"means": [[0.0, 0.0], [1.0, 1.0]], "scales": [1.0, 0.5], "weights": [0.5, 0.5]}
+_PARITY_ROWS = [
+    ("schedule", "beta_max", 1e-4),  # beta_min == beta_max
+    ("schedule", "beta_max", 1e-5),
+    ("schedule", "beta_min", 0.0),
+    ("schedule", "beta_min", 0.01),
+    ("schedule", "T", 0.0),
+    ("schedule", "T", 10.0),
+    ("schedule", "kind", "cosine"),
+    ("oracle", "preset", "standard"),
+    ("oracle", "preset", "moons"),
+    ("oracle", "dim", 0),
+    ("oracle", "dim", 3),
+    ("oracle", "means", [[0.0, 0.0], [2.0, 0.0]]),
+    ("oracle", "means", [["a", "b"], [1.0, 1.0]]),
+    ("oracle", "means", [[0.0], [1.0, 1.0]]),
+    ("oracle", "means", [[], []]),
+    ("oracle", "scales", [1.0, 0.0]),
+    ("oracle", "scales", [1.0]),
+    ("oracle", "scales", [1.0, "x"]),
+    ("oracle", "weights", [0.25, 0.75]),
+    ("oracle", "weights", [0.3, 0.3]),
+    ("oracle", "weights", ["x", "y"]),
+    ("oracle", "weights", [0.5, None]),
+    ("trajectory", "kind", "log-snr"),
+    ("trajectory", "kind", "cosine"),
+    ("trajectory", "K", 0),
+    ("trajectory", "K", 1),
+    ("trajectory", "t_min", -1.0),
+    ("trajectory", "t_min", 5.0),
+    ("trajectory", "t_min", 1000.0),
+    ("sampler", "kind", "euler"),
+    ("sampler", "eta", 1.0),
+    ("sampler", "eta", 1.5),
+    ("tuner", "strategy", "parallel"),
+    ("tuner", "strategy", "greedy"),
+    ("tuner", "bounds", "wide"),
+    ("tuner", "bounds", "narrow"),
+    ("tuner", "batch", 0),
+    ("tuner", "batch", 1),
+    ("tuner", "coarse_grid", 2),
+    ("tuner", "coarse_grid", 3),
+    ("tuner", "refine_tol", 0.0),
+    ("tuner", "seed", -1),
+    ("tuner", "seed", 5),
+    ("seeds", "sample", -1),
+    ("seeds", "data", -1),
+    ("seeds", "eval", -2),
+    ("seeds", "eval", 3),
+]
+
+
+def _library_accepts(block: str, name: str, value) -> bool:
+    schedule = NoiseSchedule()
+    build = {
+        "schedule": lambda: NoiseSchedule(**{name: value}),
+        "oracle": lambda: (
+            GaussianMixtureOracle(schedule=schedule, **dict(_MIXTURE, **{name: value}))
+            if name in _MIXTURE
+            else make_oracle(**dict({"preset": "gmm8"}, **{name: value}), schedule=schedule)
+        ),
+        "trajectory": lambda: make_trajectory(
+            **dict({"kind": "quadratic", "K": 10}, **{name: value}), schedule=schedule
+        ),
+        "sampler": lambda: SamplerConfig(**{name: value}),
+        "tuner": lambda: TunerConfig(**{name: value}),
+        "seeds": lambda: check_seed(value, name),
+    }[block]
+    try:
+        build()
+    except DomainError:
+        return False
+    return True
+
+
+def test_config_and_library_accept_the_same_values():
+    mismatches = []
+    for block, name, value in _PARITY_ROWS:
+        section = dict(_MIXTURE) if block == "oracle" and name in _MIXTURE else {}
+        section[name] = value
+        try:
+            config_from_dict({block: section})
+            config_accepts, message = True, ""
+        except ConfigError as exc:
+            config_accepts, message = False, str(exc)
+        library_accepts = _library_accepts(block, name, value)
+        if config_accepts != library_accepts or not (
+            config_accepts or message.startswith(f"{block}.{name}:")
+        ):
+            mismatches.append((block, name, value, library_accepts, message))
+    assert mismatches == []
 
 
 # ------------------------------------------------------------------------ cli
@@ -231,4 +339,21 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys):
     cfg = _small_cfg(tmp_path)
     assert cli.main(["sample", "--config", cfg, "--n", "-1"]) == 2
     assert cli.main(["sample", "--config", cfg, "--workers", "0"]) == 2
-    capsys.readouterr()
+    assert cli.main(["sample", "--config", cfg, "--seed", "-5"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_cli_config_value_errors_exit_2_with_field_path(tmp_path, capsys):
+    for overrides, where in [
+        ({"seeds": {"sample": -1}}, "seeds.sample"),
+        ({"oracle": {"means": [["a", "b"]], "scales": [1.0], "weights": [1.0]}}, "oracle.means"),
+        (
+            {"oracle": {"means": [[0.0, 0.0], [1.0, 1.0]], "scales": [1.0, 1.0],
+                        "weights": [0.5, 0.6]}},
+            "oracle.weights",
+        ),
+        ({"oracle": {"preset": "standard", "dim": 0}}, "oracle.dim"),
+    ]:
+        cfg = _small_cfg(tmp_path, **overrides)
+        assert cli.main(["sample", "--config", cfg, "--n", "4"]) == 2
+        assert where in capsys.readouterr().err

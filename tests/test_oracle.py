@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from _oracles import finite_difference_gradient
-from steptuner import DomainError, GaussianMixtureOracle, NoiseSchedule, gmm8
+from steptuner import DomainError, GaussianMixtureOracle, NoiseSchedule, gmm8, standard_gaussian
+from steptuner.oracle import make_oracle
 
 
 def test_score_matches_finite_differences(gmm8_model, rng):
@@ -160,6 +161,22 @@ def test_validation_errors(schedule):
             scales=np.array([0.1]),
             weights=np.array([0.5, 0.5]),
         )
+    for means, scales, weights in [
+        ([["a", 0.0]], [1.0], [1.0]),
+        ([[0.0], [1.0, 1.0]], [1.0, 1.0], [0.5, 0.5]),
+        ([[0.0, 0.0]], [None], [1.0]),
+        ([[0.0, 0.0]], [1.0], ["1"]),
+        ([[]], [1.0], [1.0]),
+    ]:
+        with pytest.raises(DomainError):
+            GaussianMixtureOracle(schedule=schedule, means=means, scales=scales, weights=weights)
+    with pytest.raises(DomainError):
+        standard_gaussian(schedule, dim=0)
+    with pytest.raises(DomainError):
+        make_oracle("standard", schedule, dim=0)
+    with pytest.raises(DomainError):
+        make_oracle("moons", schedule)
+    assert make_oracle("standard", schedule, dim=3).dim == 3
 
 
 def test_non_finite_input_rejected(gmm8_model):

@@ -248,6 +248,8 @@ def test_sampler_config_validation():
         SamplerConfig(kind="euler")
     with pytest.raises(DomainError):
         SamplerConfig(eta=1.5)
+    with pytest.raises(DomainError):
+        SamplerConfig(seed=-1)
     assert SamplerConfig(eta=0.0).deterministic
     assert not SamplerConfig(eta=0.3).deterministic
     assert SamplerConfig(kind="dpm-solver-2", eta=0.9).deterministic

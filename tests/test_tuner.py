@@ -314,6 +314,8 @@ def test_tuner_config_validation():
         TunerConfig(coarse_grid=2)
     with pytest.raises(DomainError):
         TunerConfig(refine_tol=0.0)
+    with pytest.raises(DomainError):
+        TunerConfig(seed=-1)
 
 
 def test_consistency_and_denoising_argmin_agree_large_batch(gmm8_model, schedule):
