@@ -11,7 +11,6 @@ Frechet distance and sliced Wasserstein distance at the final state.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import expm1, sqrt
 from typing import Optional
@@ -20,11 +19,9 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .oracle import GaussianMixtureOracle
-from .rng import PURPOSE_PATHS, PURPOSE_PROJ, derive_rng, per_sample_map
+from .rng import PURPOSE_PATHS, PURPOSE_PROJ, derive_rng
 from .samplers import SamplePath, SamplerConfig, _deterministic_part, sample_path
 from .trajectory import Trajectory, TunedTrajectory, baseline_tuned
-
-_PATH_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -69,21 +66,9 @@ class EvalReport:
         }
 
 
-def draw_start_states(
-    model: GaussianMixtureOracle, n: int, seed: int, workers: int = 1
-) -> np.ndarray:
+def draw_start_states(model: GaussianMixtureOracle, n: int, seed: int) -> np.ndarray:
     """n fully-noised states alpha_T x0 + sigma_T eps with per-sample seeds."""
-    D = model.dim
-    k = len(model.weights)
-    x0 = np.empty((n, D))
-    eps = np.empty((n, D))
-
-    def fill(rng: np.random.Generator, j: int) -> None:
-        comp = rng.choice(k, p=model.weights)
-        x0[j] = model.means[comp] + model.scales[comp] * rng.standard_normal(D)
-        eps[j] = rng.standard_normal(D)
-
-    per_sample_map(fill, n, (seed, PURPOSE_PATHS), workers)
+    x0, (eps,) = model.draw(n, (seed, PURPOSE_PATHS), extra=1)
     return model.schedule.forward_sample(x0, model.schedule.T, eps)
 
 
@@ -92,25 +77,9 @@ def generate_paths(
     tuned: TunedTrajectory,
     sampler: SamplerConfig,
     model: GaussianMixtureOracle,
-    workers: int = 1,
 ) -> SamplePath:
-    """Roll a batch of paths, split across workers in fixed blocks."""
-    x_T = np.atleast_2d(x_T)
-    n = x_T.shape[0]
-    if workers <= 1 or n <= _PATH_BLOCK:
-        return sample_path(x_T, tuned, sampler, model)
-    blocks = [(s, min(s + _PATH_BLOCK, n)) for s in range(0, n, _PATH_BLOCK)]
-
-    def run(block):
-        s, e = block
-        return sample_path(x_T[s:e], tuned, sampler, model, path_offset=s)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run, blocks))
-    states = np.concatenate([p.states for p in parts], axis=1)
-    return SamplePath(
-        states=states, trajectory_points=tuned.base.points, seed=sampler.seed
-    )
+    """Roll a batch of paths from x_T with the given conditioning times."""
+    return sample_path(x_T, tuned, sampler, model)
 
 
 def reference_path(
@@ -277,7 +246,6 @@ def step_replacement_sweep(
     model: GaussianMixtureOracle,
     n_samples: int,
     seed: int = 0,
-    workers: int = 1,
 ) -> list:
     """Metrics as tuned conditioning times replace untuned ones step by step.
 
@@ -289,8 +257,8 @@ def step_replacement_sweep(
     if tuned.base.K != traj.K:
         raise ContractError("tuned trajectory does not match the base trajectory")
     base = baseline_tuned(traj, model.schedule, sampler.kind)
-    x_T = draw_start_states(model, n_samples, seed, workers)
-    data = model.sample_data(n_samples, seed + 1, workers)
+    x_T = draw_start_states(model, n_samples, seed)
+    data = model.sample_data(n_samples, seed + 1)
     reports = []
     for m in range(traj.K + 1):
         taus = base.taus.copy()
@@ -298,7 +266,7 @@ def step_replacement_sweep(
         for i in range(traj.K, traj.K - m, -1):
             taus[per_step * (i - 1) : per_step * i] = tuned.taus_for_step(i)
         hybrid = TunedTrajectory(base=traj, taus=taus, sampler_kind=sampler.kind)
-        path = generate_paths(x_T, hybrid, sampler, model, workers)
+        path = generate_paths(x_T, hybrid, sampler, model)
         reports.append(evaluate_samples(path.states[-1], data, seed))
     return reports
 
@@ -311,7 +279,6 @@ def error_bound_report(
     n_paths: int,
     seed: int = 0,
     dense_K: int = 1000,
-    workers: int = 1,
 ) -> list:
     """Per-step pathwise error and the two sums that bound it.
 
@@ -328,8 +295,8 @@ def error_bound_report(
     sched = model.schedule
     if tuned is None:
         tuned = baseline_tuned(traj, sched, sampler.kind)
-    x_T = draw_start_states(model, n_paths, seed, workers)
-    coarse = generate_paths(x_T, tuned, sampler, model, workers)
+    x_T = draw_start_states(model, n_paths, seed)
+    coarse = generate_paths(x_T, tuned, sampler, model)
     reference = reference_path(x_T, model, dense_K, t_min=float(traj.points[0]))
     dense_pts = reference.trajectory_points
     K = traj.K

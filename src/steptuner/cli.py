@@ -55,7 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tuned", type=str, default=None, help="tuned-times JSON path")
         p.add_argument("--out", type=str, default=None, help="primary output path")
         p.add_argument("--seed", type=int, default=None, help="override config seeds")
-        p.add_argument("--workers", type=int, default=1, help="MC worker count")
+        p.add_argument(
+            "--workers", type=int, default=1, help="accepted for compatibility; no effect"
+        )
         p.add_argument(
             "--n", type=int, default=defaults_n.get(name, 1024), help="sample count"
         )
@@ -78,6 +80,11 @@ def _load(args) -> ExperimentConfig:
     if args.n < 0:
         raise ConfigError("--n must be non-negative")
     return cfg
+
+
+def _require_n(args, least: int) -> None:
+    if args.n < least:
+        raise ConfigError(f"--n must be at least {least} for {args.command}")
 
 
 def _runtime(cfg: ExperimentConfig):
@@ -154,7 +161,7 @@ def _matrix_csv(x: np.ndarray) -> str:
 def cmd_tune(args) -> int:
     cfg = _load(args)
     schedule, model, traj, sampler = _runtime(cfg)
-    tuned, records = run_tune(cfg.tuner, traj, sampler, model, workers=args.workers)
+    tuned, records = run_tune(cfg.tuner, traj, sampler, model)
     out = _out_path(args, cfg, "tuned.json")
     out.write_text(tuned_to_json(tuned, schedule))
     csv_path = out.with_suffix(".csv")
@@ -172,8 +179,8 @@ def cmd_sample(args) -> int:
     if args.n == 0:
         out.write_text("")
     else:
-        x_T = draw_start_states(model, args.n, cfg.seeds.sample, args.workers)
-        path = generate_paths(x_T, tuned, sampler, model, args.workers)
+        x_T = draw_start_states(model, args.n, cfg.seeds.sample)
+        path = generate_paths(x_T, tuned, sampler, model)
         out.write_text(_matrix_csv(path.states[-1]))
     _write_meta(out, "sample", cfg, args, [out])
     print(f"wrote {out}")
@@ -184,8 +191,9 @@ def cmd_gap(args) -> int:
     cfg = _load(args)
     schedule, model, traj, sampler = _runtime(cfg)
     tuned, is_tuned = _load_tuned(args, traj, schedule, sampler)
-    x_T = draw_start_states(model, args.n, cfg.seeds.sample, args.workers)
-    coarse = generate_paths(x_T, tuned, sampler, model, args.workers)
+    _require_n(args, 1)
+    x_T = draw_start_states(model, args.n, cfg.seeds.sample)
+    coarse = generate_paths(x_T, tuned, sampler, model)
     reference = reference_path(x_T, model, _DENSE_K, t_min=float(traj.points[0]))
     report = gap_profile(
         coarse,
@@ -207,8 +215,9 @@ def cmd_sweep(args) -> int:
     if args.tuned is None:
         raise ConfigError("sweep requires --tuned")
     tuned, _ = _load_tuned(args, traj, schedule, sampler)
+    _require_n(args, model.dim + 1)
     reports = step_replacement_sweep(
-        traj, tuned, sampler, model, args.n, seed=cfg.seeds.sample, workers=args.workers
+        traj, tuned, sampler, model, args.n, seed=cfg.seeds.sample
     )
     lines = ["m,fd,swd"]
     for m, rep in enumerate(reports):
@@ -224,11 +233,10 @@ def cmd_eval(args) -> int:
     cfg = _load(args)
     schedule, model, traj, sampler = _runtime(cfg)
     tuned, is_tuned = _load_tuned(args, traj, schedule, sampler)
-    if args.n < model.dim + 1:
-        raise ConfigError(f"--n must be at least dim+1 = {model.dim + 1} for eval")
-    x_T = draw_start_states(model, args.n, cfg.seeds.sample, args.workers)
-    path = generate_paths(x_T, tuned, sampler, model, args.workers)
-    data = model.sample_data(args.n, cfg.seeds.data, args.workers)
+    _require_n(args, model.dim + 1)
+    x_T = draw_start_states(model, args.n, cfg.seeds.sample)
+    path = generate_paths(x_T, tuned, sampler, model)
+    data = model.sample_data(args.n, cfg.seeds.data)
     report = evaluate_samples(path.states[-1], data, seed=cfg.seeds.eval)
     doc = dict(report.to_dict(), tuned=is_tuned)
     out = _out_path(args, cfg, "eval.json")

@@ -105,19 +105,32 @@ class GaussianMixtureOracle:
         _, sigma = self.schedule.alpha_sigma(t)
         return -sigma * self.score(x, t)
 
-    def sample_data(self, n: int, seed: int, workers: int = 1) -> np.ndarray:
-        """n clean data points; per-sample seeds make any worker split agree."""
+    def draw(self, n: int, key, extra: int = 0) -> tuple:
+        """n data rows plus ``extra`` standard normal vectors per row.
+
+        Row j draws from the generator keyed by (*key, j) in a frozen
+        order: the component, the data row's noise, then the extra
+        vectors. Returns (x0 of shape (n, D), normals of shape (extra, n, D)).
+        """
         if n < 0:
             raise DomainError(f"sample count must be >= 0, got {n}")
-        out = np.empty((n, self.dim))
+        D = self.dim
         k = len(self.weights)
+        x0 = np.empty((n, D))
+        normals = np.empty((extra, n, D))
 
         def fill(rng: np.random.Generator, j: int) -> None:
             comp = rng.choice(k, p=self.weights)
-            out[j] = self.means[comp] + self.scales[comp] * rng.standard_normal(self.dim)
+            z = rng.standard_normal((1 + extra, D))
+            x0[j] = self.means[comp] + self.scales[comp] * z[0]
+            normals[:, j] = z[1:]
 
-        per_sample_map(fill, n, (seed, PURPOSE_DATA), workers)
-        return out
+        per_sample_map(fill, n, key)
+        return x0, normals
+
+    def sample_data(self, n: int, seed: int) -> np.ndarray:
+        """n clean data points, keyed per sample by (seed, data purpose)."""
+        return self.draw(n, (seed, PURPOSE_DATA))[0]
 
 
 def gmm8(schedule: NoiseSchedule) -> GaussianMixtureOracle:

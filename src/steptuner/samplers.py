@@ -150,13 +150,11 @@ def sample_path(
     tuned: TunedTrajectory,
     sampler: SamplerConfig,
     model: GaussianMixtureOracle,
-    path_offset: int = 0,
 ) -> SamplePath:
     """Roll a batch of states from t_K down to t_0, recording every stop.
 
-    For stochastic sampling each injected noise row is seeded by
-    (sampler seed, global path index, step), so splitting a batch across
-    workers at any offset reproduces the single-worker output exactly.
+    For stochastic sampling the noise injected into row j at step i is
+    drawn from the generator keyed by (sampler seed, paths purpose, j, i).
     """
     if tuned.sampler_kind != sampler.kind:
         raise ContractError(
@@ -178,7 +176,7 @@ def sample_path(
             if sampler.eta > 0.0:
                 noise = np.empty_like(x)
                 for row in range(x.shape[0]):
-                    rng = derive_rng(sampler.seed, PURPOSE_PATHS, path_offset + row, i)
+                    rng = derive_rng(sampler.seed, PURPOSE_PATHS, row, i)
                     noise[row] = rng.standard_normal(x.shape[1])
             x = ddim_step(x, t_from, t_to, taus[0], model, sampler.eta, noise)
         else:

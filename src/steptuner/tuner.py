@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .oracle import GaussianMixtureOracle
-from .rng import PURPOSE_TUNE, check_seed, per_sample_map
+from .rng import PURPOSE_TUNE, check_seed
 from .samplers import SamplerConfig, ddim_step, dpm_solver2_step
 from .trajectory import (
     Trajectory,
@@ -87,36 +87,6 @@ class TuneRecord:
     boundary: bool
 
 
-def _draw_batch(
-    model: GaussianMixtureOracle,
-    batch: int,
-    seed: int,
-    step: int,
-    n_noise: int,
-    workers: int = 1,
-):
-    """Per-sample (x0, eps) pairs plus optional per-step solver noise.
-
-    Sample j of step i derives everything from the key
-    (seed, PURPOSE_TUNE, step, j); draw order within a sample is frozen.
-    """
-    D = model.dim
-    k = len(model.weights)
-    x0 = np.empty((batch, D))
-    eps = np.empty((batch, D))
-    noises = np.empty((n_noise, batch, D)) if n_noise else None
-
-    def fill(rng: np.random.Generator, j: int) -> None:
-        comp = rng.choice(k, p=model.weights)
-        x0[j] = model.means[comp] + model.scales[comp] * rng.standard_normal(D)
-        eps[j] = rng.standard_normal(D)
-        for m in range(n_noise):
-            noises[m, j] = rng.standard_normal(D)
-
-    per_sample_map(fill, batch, (seed, PURPOSE_TUNE, step), workers)
-    return x0, eps, noises
-
-
 def _apply_step(x, t_from, t_to, taus, model, sampler: SamplerConfig, noise):
     if sampler.kind == "ddim-family":
         return ddim_step(x, t_from, t_to, taus[0], model, sampler.eta, noise)
@@ -136,7 +106,6 @@ class _LossContext:
         seed: int,
         strategy: str,
         prefix_taus: Optional[Sequence[Sequence[float]]] = None,
-        workers: int = 1,
     ):
         if not (1 <= i <= traj.K):
             raise DomainError(f"step index must lie in [1, {traj.K}], got {i}")
@@ -153,7 +122,10 @@ class _LossContext:
         needs_noise = sampler.kind == "ddim-family" and sampler.eta > 0.0
         n_prefix = traj.K - i if strategy == "sequential" else 0
         n_noise = (n_prefix + 1) if needs_noise else 0
-        x0, eps, noises = _draw_batch(model, batch, seed, i, n_noise, workers)
+        # sample j of step i: component, x0, eps, then the solver noise of
+        # each step it is rolled through
+        x0, normals = model.draw(batch, (seed, PURPOSE_TUNE, i), extra=1 + n_noise)
+        eps, noises = normals[0], normals[1:]
         x = sched.forward_sample(x0, pts[traj.K] if strategy == "sequential" else pts[i], eps)
         if strategy == "sequential":
             prefix_taus = list(prefix_taus or [])
@@ -169,7 +141,6 @@ class _LossContext:
                 )
         self.state = x
         self.x0 = x0
-        self.eps = eps
         self.step_noise = noises[-1] if needs_noise else None
         self.target = model.epsilon(x, self.t_from)
         self.batch = batch
@@ -213,7 +184,6 @@ def loss_sequential(
     batch: int,
     seed: int,
     sampler: Optional[SamplerConfig] = None,
-    workers: int = 1,
 ) -> LossEstimate:
     """Loss of candidate tau at step i on states rolled with tuned_prefix.
 
@@ -223,7 +193,7 @@ def loss_sequential(
     sampler = sampler or SamplerConfig()
     ctx = _LossContext(
         i, traj, model, sampler, batch, seed, "sequential",
-        prefix_taus=[_as_site_tuple(p) for p in tuned_prefix], workers=workers,
+        prefix_taus=[_as_site_tuple(p) for p in tuned_prefix],
     )
     return ctx.loss(_as_site_tuple(tau))
 
@@ -236,11 +206,10 @@ def loss_parallel(
     batch: int,
     seed: int,
     sampler: Optional[SamplerConfig] = None,
-    workers: int = 1,
 ) -> LossEstimate:
     """Loss of candidate tau at step i on exact forward samples at t_i."""
     sampler = sampler or SamplerConfig()
-    ctx = _LossContext(i, traj, model, sampler, batch, seed, "parallel", workers=workers)
+    ctx = _LossContext(i, traj, model, sampler, batch, seed, "parallel")
     return ctx.loss(_as_site_tuple(tau))
 
 
@@ -309,7 +278,6 @@ def tune(
     traj: Trajectory,
     sampler: SamplerConfig,
     model: GaussianMixtureOracle,
-    workers: int = 1,
 ) -> tuple:
     """Optimize every conditioning time; returns (TunedTrajectory, records).
 
@@ -331,7 +299,6 @@ def tune(
         ctx = _LossContext(
             i, traj, model, sampler, cfg.batch, cfg.seed, cfg.strategy,
             prefix_taus=chosen if cfg.strategy == "sequential" else None,
-            workers=workers,
         )
         lo, hi = _search_bounds(cfg, traj, i, sched.t_eps)
         if sampler.kind == "ddim-family":

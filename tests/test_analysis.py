@@ -32,10 +32,10 @@ from steptuner.rng import PURPOSE_PROJ, derive_rng
 
 
 def test_draw_start_states_deterministic_and_worker_free(gmm8_model):
-    a = draw_start_states(gmm8_model, 1000, 3, workers=1)
-    b = draw_start_states(gmm8_model, 1000, 3, workers=8)
+    a = draw_start_states(gmm8_model, 1000, 3)
+    b = draw_start_states(gmm8_model, 1000, 3)
     assert np.array_equal(a, b)
-    c = draw_start_states(gmm8_model, 1000, 4, workers=1)
+    c = draw_start_states(gmm8_model, 1000, 4)
     assert not np.array_equal(a, c)
 
 
@@ -56,9 +56,12 @@ def test_generate_paths_worker_invariance(gmm8_model, schedule, eta):
     base = baseline_tuned(traj, schedule, "ddim-family")
     x_T = draw_start_states(gmm8_model, 1280, 2)
     sc = SamplerConfig(eta=eta, seed=9)
-    pa = generate_paths(x_T, base, sc, gmm8_model, workers=1)
-    pb = generate_paths(x_T, base, sc, gmm8_model, workers=4)
+    pa = generate_paths(x_T, base, sc, gmm8_model)
+    pb = generate_paths(x_T, base, sc, gmm8_model)
     assert np.array_equal(pa.states, pb.states)
+    # a row's noise is keyed by its index, not by the rows drawn with it
+    head = generate_paths(x_T[:700], base, sc, gmm8_model)
+    assert np.array_equal(head.states, pa.states[:, :700])
 
 
 def test_reference_path_matches_coefficient_product(standard_model, schedule):

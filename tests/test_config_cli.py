@@ -341,6 +341,14 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys):
     assert cli.main(["sample", "--config", cfg, "--workers", "0"]) == 2
     assert cli.main(["sample", "--config", cfg, "--seed", "-5"]) == 2
     assert "--seed" in capsys.readouterr().err
+    assert cli.main(["gap", "--config", cfg, "--n", "0"]) == 2
+    assert "--n" in capsys.readouterr().err
+    tuned = tmp_path / "tuned.json"
+    assert cli.main(["tune", "--config", cfg, "--out", str(tuned)]) == 0
+    capsys.readouterr()
+    for n in ("0", "1", "2"):  # dim + 1 = 3 points for the sample covariance
+        assert cli.main(["sweep", "--config", cfg, "--tuned", str(tuned), "--n", n]) == 2
+        assert "--n" in capsys.readouterr().err
 
 
 def test_cli_config_value_errors_exit_2_with_field_path(tmp_path, capsys):

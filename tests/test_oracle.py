@@ -6,6 +6,7 @@ import pytest
 from _oracles import finite_difference_gradient
 from steptuner import DomainError, GaussianMixtureOracle, NoiseSchedule, gmm8, standard_gaussian
 from steptuner.oracle import make_oracle
+from steptuner.rng import PURPOSE_DATA, derive_rng
 
 
 def test_score_matches_finite_differences(gmm8_model, rng):
@@ -131,12 +132,27 @@ def test_sample_data_component_frequencies(gmm8_model):
 
 
 def test_sample_data_deterministic_and_worker_independent(gmm8_model):
-    a = gmm8_model.sample_data(3000, seed=9, workers=1)
-    b = gmm8_model.sample_data(3000, seed=9, workers=8)
-    c = gmm8_model.sample_data(3000, seed=9, workers=1)
-    assert np.array_equal(a, b)
+    a = gmm8_model.sample_data(3000, seed=9)
+    c = gmm8_model.sample_data(3000, seed=9)
     assert np.array_equal(a, c)
     assert not np.array_equal(a, gmm8_model.sample_data(3000, seed=10))
+
+
+def test_draw_replays_frozen_row_order(gmm8_model):
+    # row j: component, data noise, then the extra normals, one call each
+    x0, normals = gmm8_model.draw(50, (7, 3), extra=2)
+    assert normals.shape == (2, 50, 2)
+    for j in (0, 31, 49):
+        rng = derive_rng(7, 3, j)
+        comp = rng.choice(8, p=gmm8_model.weights)
+        z = rng.standard_normal(2)
+        assert np.array_equal(x0[j], gmm8_model.means[comp] + gmm8_model.scales[comp] * z)
+        for m in range(2):
+            assert np.array_equal(normals[m, j], rng.standard_normal(2))
+    data = gmm8_model.sample_data(50, seed=7)
+    assert np.array_equal(data, gmm8_model.draw(50, (7, PURPOSE_DATA))[0])
+    with pytest.raises(DomainError):
+        gmm8_model.draw(-1, (0,))
 
 
 def test_validation_errors(schedule):

@@ -1,4 +1,4 @@
-"""Seed derivation: determinism and worker-count independence."""
+"""Seed derivation: determinism and per-sample keying."""
 
 import numpy as np
 
@@ -8,7 +8,6 @@ from steptuner.rng import (
     PURPOSE_TUNE,
     derive_rng,
     per_sample_map,
-    standard_normal_batch,
 )
 
 
@@ -26,20 +25,20 @@ def test_purposes_give_distinct_streams():
     assert not np.array_equal(b, c)
 
 
-def test_worker_count_independence():
-    outs = [standard_normal_batch(1500, 3, (9, PURPOSE_TUNE, 2), w) for w in (1, 2, 8)]
-    assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(outs[0], outs[2])
-
-
 def test_per_sample_map_covers_all_rows():
-    out = np.full((700, 1), np.nan)
+    def run():
+        out = np.full((700, 2), np.nan)
 
-    def fill(rng, j):
-        out[j] = j
+        def fill(rng, j):
+            out[j] = (j, rng.standard_normal())
 
-    per_sample_map(fill, 700, (1,), workers=4)
+        per_sample_map(fill, 700, (1,))
+        return out
+
+    out = run()
     assert np.array_equal(out[:, 0], np.arange(700, dtype=float))
+    assert out[5, 1] == derive_rng(1, 5).standard_normal()
+    assert np.array_equal(out, run())
 
 
 def test_per_sample_map_propagates_errors():
@@ -48,8 +47,8 @@ def test_per_sample_map_propagates_errors():
             raise ValueError("boom")
 
     try:
-        per_sample_map(fill, 600, (1,), workers=4)
+        per_sample_map(fill, 600, (1,))
     except ValueError as exc:
         assert "boom" in str(exc)
     else:
-        raise AssertionError("expected the worker error to propagate")
+        raise AssertionError("expected the fill error to propagate")

@@ -193,19 +193,6 @@ def test_rollout_deterministic(gmm8_model, schedule, rng):
     assert not np.array_equal(p1.states, p3.states)
 
 
-def test_rollout_path_offset_blocks(gmm8_model, schedule, rng):
-    # splitting a stochastic batch by rows with the right offsets is exact
-    traj = make_trajectory("uniform", 3, schedule)
-    tuned = baseline_tuned(traj, schedule, "ddim-family")
-    x_T = rng.standard_normal((10, 2))
-    cfg = SamplerConfig(eta=1.0, seed=2)
-    full = sample_path(x_T, tuned, cfg, gmm8_model)
-    head = sample_path(x_T[:4], tuned, cfg, gmm8_model, path_offset=0)
-    tail = sample_path(x_T[4:], tuned, cfg, gmm8_model, path_offset=4)
-    assert np.array_equal(full.states[:, :4], head.states)
-    assert np.array_equal(full.states[:, 4:], tail.states)
-
-
 def test_dpm2_rollout_two_sites(standard_model, schedule, rng):
     traj = make_trajectory("uniform", 2, schedule, t_min=1.0)
     tuned = baseline_tuned(traj, schedule, "dpm-solver-2")

