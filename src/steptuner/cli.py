@@ -103,7 +103,12 @@ def _load_tuned(args, traj, schedule, sampler):
     path = Path(args.tuned)
     if not path.exists():
         raise ConfigError(f"tuned file not found: {path}")
-    tuned = tuned_from_json(path.read_text())
+    try:
+        tuned = tuned_from_json(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"tuned file {path} is not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"tuned file {path} lacks key {exc}") from exc
     if tuned.sampler_kind != sampler.kind:
         raise ContractError(
             f"tuned file targets sampler {tuned.sampler_kind!r}, "

@@ -137,7 +137,7 @@ def dpm_solver2_step(
     lam_from = sched.log_snr(t_from)
     lam_to = sched.log_snr(t_to)
     h = lam_to - lam_from
-    s_mid = sched.t_from_log_snr(lam_from + 0.5 * h)
+    s_mid = midpoint_time(sched, t_from, t_to)
     a_from, _ = sched.alpha_sigma(t_from)
     a_s, s_s = sched.alpha_sigma(s_mid)
     a_to, s_to = sched.alpha_sigma(t_to)
@@ -192,5 +192,4 @@ __all__ = [
     "ddim_step_baseline",
     "dpm_solver2_step",
     "sample_path",
-    "midpoint_time",
 ]

@@ -10,7 +10,8 @@ accumulated noise scale:
 
 The integral of the linear rate has a closed form, so no quadrature is
 needed. The log signal-to-noise ratio lambda(t) = log(alpha_t / sigma_t)
-is strictly decreasing on (0, T] and inverted by bisection.
+is strictly decreasing on (0, T]. Since alpha_t^2 = sigmoid(2 lambda) and
+log alpha_t is quadratic in t, lambda is inverted in closed form.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .errors import DomainError
 # Smallest time used when a positive evaluation time is required
 # (lambda grids, loss conditioning at the final step), as a fraction of T.
 T_EPS_FRACTION = 1e-3
-# Lower end of the bisection domain for inverting lambda, as a fraction of T.
-T_MIN_EFF_FRACTION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -90,25 +89,27 @@ class NoiseSchedule:
             return float(lam)
         return lam
 
-    def t_from_log_snr(self, lam: float) -> float:
-        """Unique t in [t_min_eff, T] with log_snr(t) = lam, by bisection."""
-        t_lo = T_MIN_EFF_FRACTION * self.T
-        lam_hi = self.log_snr(t_lo)  # largest lambda on the domain
+    def t_from_log_snr(self, lam):
+        """Unique t in (0, T] with log_snr(t) = lam, for scalar or array lam.
+
+        c = -2 log alpha_t = log(1 + e^(-2 lam)) = a t^2 + b t, solved for
+        the positive root in a form that does not cancel and reduces to
+        c / b when beta_min == beta_max.
+        """
+        lam = np.asarray(lam, dtype=float)
         lam_lo = self.log_snr(self.T)
-        if not (lam_lo <= lam <= lam_hi):
-            raise DomainError(
-                f"lambda {lam} outside invertible range [{lam_lo}, {lam_hi}]"
-            )
-        lo, hi = t_lo, self.T
-        tol = 1e-12 * self.T
-        # log_snr decreases in t: keep lam between log_snr(hi) and log_snr(lo)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self.log_snr(mid) >= lam:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        if not (np.all(np.isfinite(lam)) and np.all(lam >= lam_lo)):
+            raise DomainError(f"lambda {lam} outside invertible range [{lam_lo}, inf)")
+        c = np.logaddexp(0.0, -2.0 * lam)
+        a = (self.beta_max - self.beta_min) / (2.0 * self.T)
+        b = self.beta_min
+        # rounding may put log_snr(T) a hair past T
+        t = np.minimum(2.0 * c / (b + np.sqrt(b * b + 4.0 * a * c)), self.T)
+        if np.any(t <= 0):
+            raise DomainError(f"lambda {lam} too large: t underflows to 0")
+        if t.ndim == 0:
+            return float(t)
+        return t
 
     def forward_sample(self, x0: np.ndarray, t: float, eps: np.ndarray) -> np.ndarray:
         """x_t = alpha_t * x0 + sigma_t * eps for caller-supplied noise."""

@@ -49,13 +49,14 @@ class TunedTrajectory:
                 f"{self.sampler_kind} with K={self.base.K} needs "
                 f"{per_step * self.base.K} conditioning times, got {taus.shape}"
             )
-        if self.bounds:
-            for tau, (lo, hi) in zip(taus, self.bounds):
-                if not (lo - 1e-12 <= tau <= hi + 1e-12):
-                    raise ContractError(
-                        f"conditioning time {tau} outside its search interval "
-                        f"[{lo}, {hi}]"
-                    )
+        if len(self.bounds) not in (0, len(taus)):
+            raise ContractError(f"{len(self.bounds)} bounds for {len(taus)} taus")
+        for tau, (lo, hi) in zip(taus, self.bounds):
+            if not (lo - 1e-12 <= tau <= hi + 1e-12):
+                raise ContractError(
+                    f"conditioning time {tau} outside its search interval "
+                    f"[{lo}, {hi}]"
+                )
 
     def taus_for_step(self, i: int) -> np.ndarray:
         """Conditioning times for step i (1-based), site order a then b."""
@@ -74,22 +75,22 @@ def evaluations_per_step(sampler_kind: str) -> int:
 def baseline_tuned(
     traj: Trajectory, schedule: NoiseSchedule, sampler_kind: str = "ddim-family"
 ) -> TunedTrajectory:
-    """Tuned trajectory whose conditioning times are the untuned defaults."""
-    if sampler_kind == "ddim-family":
-        taus = traj.points[1:].copy()
+    """Tuned trajectory whose conditioning times are the untuned defaults:
+    each step's source time, then (two-evaluation steps) its log-SNR midpoint.
+    """
+    t_from = traj.points[1:]
+    if evaluations_per_step(sampler_kind) == 1:
+        taus = t_from.copy()
     else:
-        taus = []
-        for i in range(1, traj.K + 1):
-            t_from, t_to = traj.points[i], traj.points[i - 1]
-            taus.extend([t_from, midpoint_time(schedule, t_from, t_to)])
-        taus = np.asarray(taus)
+        mid = midpoint_time(schedule, t_from, traj.points[:-1])
+        taus = np.column_stack([t_from, mid]).ravel()
     return TunedTrajectory(base=traj, taus=taus, sampler_kind=sampler_kind)
 
 
-def midpoint_time(schedule: NoiseSchedule, t_from: float, t_to: float) -> float:
-    """Time halfway between t_from and t_to in log-SNR."""
+def midpoint_time(schedule: NoiseSchedule, t_from, t_to):
+    """Time halfway between t_from and t_to in log-SNR (scalars or arrays)."""
     lam_from = schedule.log_snr(t_from)
-    lam_to = schedule.log_snr(max(t_to, schedule.t_eps))
+    lam_to = schedule.log_snr(np.maximum(t_to, schedule.t_eps))
     return schedule.t_from_log_snr(0.5 * (lam_from + lam_to))
 
 
@@ -116,7 +117,7 @@ def make_trajectory(
         lam_hi = schedule.log_snr(max(t_min, schedule.t_eps))
         lam_lo = schedule.log_snr(T)
         lams = lam_hi + (lam_lo - lam_hi) * frac
-        pts = np.array([schedule.t_from_log_snr(lam) for lam in lams])
+        pts = schedule.t_from_log_snr(lams)
         pts[0], pts[-1] = t_min, T
     else:
         raise DomainError(f"kind: unknown trajectory kind {kind!r}")
@@ -126,14 +127,10 @@ def make_trajectory(
 
 def tuned_to_json(tuned: TunedTrajectory, schedule: NoiseSchedule) -> str:
     """Serialize a tuned trajectory as a JSON document of (t, tau) pairs."""
-    per_step = evaluations_per_step(tuned.sampler_kind)
+    untuned = baseline_tuned(tuned.base, schedule, tuned.sampler_kind)
     pairs = []
     for i in range(1, tuned.base.K + 1):
-        t_from, t_to = tuned.base.points[i], tuned.base.points[i - 1]
-        sites = [t_from]
-        if per_step == 2:
-            sites.append(midpoint_time(schedule, t_from, t_to))
-        for site, tau in zip(sites, tuned.taus_for_step(i)):
+        for site, tau in zip(untuned.taus_for_step(i), tuned.taus_for_step(i)):
             pairs.append({"step": i, "t": float(site), "tau": float(tau)})
     doc = {
         "sampler_kind": tuned.sampler_kind,

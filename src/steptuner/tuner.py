@@ -34,8 +34,8 @@ from .samplers import SamplerConfig, ddim_step, dpm_solver2_step
 from .trajectory import (
     Trajectory,
     TunedTrajectory,
+    baseline_tuned,
     evaluations_per_step,
-    midpoint_time,
 )
 
 _GOLDEN = (sqrt(5.0) - 1.0) / 2.0
@@ -287,7 +287,6 @@ def tune(
     step by coordinate descent (first the source-site time against the
     untuned midpoint, then the midpoint-site time given the first).
     """
-    pts = traj.points
     sched = model.schedule
     per_step = evaluations_per_step(sampler.kind)
     # one slot per evaluation site, step-ascending: per_step*(i-1) + site
@@ -295,16 +294,14 @@ def tune(
     bounds = [None] * len(taus)
     records = [None] * len(taus)
     chosen: list = []  # per-step site tuples, rollout order K..i+1
+    untuned = baseline_tuned(traj, sched, sampler.kind)
     for i in range(traj.K, 0, -1):
         ctx = _LossContext(
             i, traj, model, sampler, cfg.batch, cfg.seed, cfg.strategy,
             prefix_taus=chosen if cfg.strategy == "sequential" else None,
         )
         lo, hi = _search_bounds(cfg, traj, i, sched.t_eps)
-        if sampler.kind == "ddim-family":
-            baseline_sites = (pts[i],)
-        else:
-            baseline_sites = (pts[i], midpoint_time(sched, pts[i], pts[i - 1]))
+        baseline_sites = tuple(untuned.taus_for_step(i))
         base_est = ctx.loss(baseline_sites)
         sites = list(baseline_sites)
         flags = []

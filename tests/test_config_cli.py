@@ -335,6 +335,23 @@ def test_cli_missing_tuned_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_malformed_tuned_file_exits_2(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path)
+    bad = tmp_path / "bad_tuned.json"
+    bad.write_text("{not json")
+    assert cli.main(["sample", "--config", cfg, "--tuned", str(bad), "--n", "4"]) == 2
+    assert "bad_tuned.json" in capsys.readouterr().err
+    good = tmp_path / "tuned.json"
+    assert cli.main(["tune", "--config", cfg, "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    for key in ["pairs", "trajectory", "sampler_kind"]:
+        partial = {k: v for k, v in doc.items() if k != key}
+        bad.write_text(json.dumps(partial))
+        assert cli.main(["sample", "--config", cfg, "--tuned", str(bad), "--n", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "bad_tuned.json" in err and key in err, err
+
+
 def test_cli_rejects_bad_flag_values(tmp_path, capsys):
     cfg = _small_cfg(tmp_path)
     assert cli.main(["sample", "--config", cfg, "--n", "-1"]) == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import log_alpha_quad
+from _oracles import log_alpha_quad, t_of_log_alpha
 from steptuner import DomainError, NoiseSchedule
 
 # Frozen from the quadrature oracle at the default parameters.
@@ -82,6 +82,37 @@ def test_log_snr_round_trip_other_direction(schedule):
         assert schedule.log_snr(t) == pytest.approx(lam, abs=1e-7)
 
 
+def test_inverse_matches_quadratic_formula_oracle(schedule):
+    T = schedule.T
+    t = np.concatenate([[1e-8 * T, schedule.t_eps, T], np.geomspace(1e-8 * T, T, 400)])
+    lam = schedule.log_snr(t)
+    got = schedule.t_from_log_snr(lam)
+    assert isinstance(got, np.ndarray) and got.shape == t.shape
+    # log alpha = -1/2 log(1 + e^(-2 lambda)), since alpha^2 = sigmoid(2 lambda)
+    ref = np.array([t_of_log_alpha(schedule, -0.5 * np.log1p(np.exp(-2.0 * v))) for v in lam])
+    assert np.all(np.abs(got - ref) <= 1e-9 * ref)
+    for k in range(3):  # a scalar gives a float equal to the array entry
+        back = schedule.t_from_log_snr(float(lam[k]))
+        assert isinstance(back, float) and back == got[k]
+    assert schedule.t_from_log_snr(schedule.log_snr(T)) == T
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [NoiseSchedule(), NoiseSchedule(beta_min=0.01, beta_max=0.01)],
+    ids=["default", "flat"],
+)
+def test_inverse_round_trip_tight(sched):
+    # beta_min == beta_max has no quadratic term, which the oracle divides by
+    T = sched.T
+    t = np.concatenate([[1e-8 * T, sched.t_eps, T], np.geomspace(1e-8 * T, T, 2000)])
+    back = sched.t_from_log_snr(sched.log_snr(t))
+    assert np.all(np.abs(back - t) <= 1e-12 * t)
+    assert np.all(back <= sched.T)
+    for v in t[::50]:
+        assert abs(sched.t_from_log_snr(float(sched.log_snr(v))) - v) <= 1e-12 * v
+
+
 def test_sigma_accurate_near_zero(schedule):
     # sigma^2 = -expm1(2 log alpha); compare against the quadrature value
     for t in [1e-3, 1e-2, 0.1, 1.0]:
@@ -101,8 +132,13 @@ def test_domain_errors(schedule):
         schedule.log_snr(0.0)
     with pytest.raises(DomainError):
         schedule.t_from_log_snr(schedule.log_snr(schedule.T) - 1.0)
+    for lam in [np.nan, np.inf, 400.0]:  # e^(-800) underflows, so t would be 0
+        with pytest.raises(DomainError):
+            schedule.t_from_log_snr(lam)
     with pytest.raises(DomainError):
-        schedule.t_from_log_snr(schedule.log_snr(1e-6 * schedule.T) + 1.0)
+        schedule.t_from_log_snr(np.array([0.0, np.nan]))
+    t = 1e-8 * schedule.T
+    assert schedule.t_from_log_snr(schedule.log_snr(t)) == pytest.approx(t, rel=1e-12)
 
 
 def test_construction_validation():

@@ -128,6 +128,14 @@ def test_tuned_count_validation(schedule):
         TunedTrajectory(
             base=traj, taus=np.array([1.0, 2.0, 3.0]), sampler_kind="dpm-solver-2"
         )
+    # bounds must be absent or one per tau
+    with pytest.raises(ContractError, match="2 bounds for 3 taus"):
+        TunedTrajectory(
+            base=traj,
+            taus=np.array([100.0, 500.0, 900.0]),
+            bounds=[(0.0, 1000.0), (0.0, 1000.0)],
+            sampler_kind="ddim-family",
+        )
 
 
 def test_tuned_bounds_validation(schedule):
