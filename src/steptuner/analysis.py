@@ -23,6 +23,9 @@ from .rng import PURPOSE_PATHS, PURPOSE_PROJ, derive_rng
 from .samplers import SamplePath, SamplerConfig, _deterministic_part, sample_path
 from .trajectory import Trajectory, TunedTrajectory, baseline_tuned
 
+# projection directions per chunk in sliced_wasserstein
+_PROJ_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class GapReport:
@@ -82,39 +85,59 @@ def generate_paths(
     return sample_path(x_T, tuned, sampler, model)
 
 
-def reference_path(
-    x_T: np.ndarray,
+def _nearest(points: np.ndarray, t: float) -> int:
+    """Index of the point nearest t; the first one on a tie."""
+    return int(np.argmin(np.abs(points - t)))
+
+
+def _dense_points(t_from: float, t_to: float, m: int) -> np.ndarray:
+    if m < 1:
+        raise DomainError(f"dense step count must be >= 1, got {m}")
+    return t_to + (t_from - t_to) * np.arange(m + 1) / m
+
+
+def dense_flow(
+    x: np.ndarray,
     model: GaussianMixtureOracle,
-    dense_K: int = 1000,
-    t_min: float = 0.0,
-) -> SamplePath:
-    """Dense untuned deterministic rollout approximating the exact flow.
+    t_from: float,
+    t_to: float,
+    m: int,
+    record: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Dense untuned deterministic rollout from t_from down to t_to.
 
     A second-order multistep exponential integrator in log-SNR (the
     two-step DPM-Solver of Lu et al. 2022) with one model evaluation per
-    dense step. Each step is the baseline solver update from t_from to t_to
-    plus the correction
+    step, over the m + 1 uniform points p_j = t_to + (t_from - t_to) j / m.
+    Each step is the baseline solver update from p_j to p_{j-1} plus the
+    correction
 
         - sigma_to * (expm1(h) - h) * (eps - eps_prev) / h_prev,
 
-    where eps is the prediction at t_from, eps_prev the one of the previous
-    step, h = log_snr(t_to) - log_snr(t_from) and h_prev the previous
+    where eps is the prediction at p_j, eps_prev the one of the previous
+    step, h = log_snr(p_{j-1}) - log_snr(p_j) and h_prev the previous
     step's h. The first step has no history, and a step ending below t_eps
     has no finite log-SNR; both stay first order.
+
+    record lists the indices j of the points whose states are kept (None
+    keeps all); the states come back in walking order, from the highest
+    index down, so only len(record) states are ever stored.
     """
-    if dense_K < 1:
-        raise DomainError("dense_K must be >= 1")
     sched = model.schedule
-    pts = t_min + (sched.T - t_min) * np.arange(dense_K + 1) / dense_K
-    x = np.atleast_2d(np.asarray(x_T, dtype=float))
-    states = np.empty((dense_K + 1,) + x.shape)
-    states[0] = x
+    pts = _dense_points(t_from, t_to, m)
+    keep = np.full(m + 1, True) if record is None else np.isin(np.arange(m + 1), record)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    states = np.empty((int(keep.sum()),) + x.shape)
+    stored = 0
+    if keep[m]:
+        states[0] = x
+        stored = 1
     alpha, sigma = sched.alpha_sigma(pts)
     second = pts >= sched.t_eps  # where log-SNR is finite
     lam = np.zeros_like(pts)
     lam[second] = sched.log_snr(pts[second])
     eps_prev = h_prev = None
-    for j in range(dense_K, 0, -1):
+    for j in range(m, 0, -1):
         eps = model.epsilon(x, pts[j])
         x = _deterministic_part(x, alpha[j], sigma[j], alpha[j - 1], sigma[j - 1], eps)
         if second[j - 1]:
@@ -122,7 +145,33 @@ def reference_path(
             if eps_prev is not None:
                 x -= (sigma[j - 1] * (expm1(h) - h) / h_prev) * (eps - eps_prev)
             eps_prev, h_prev = eps, h
-        states[dense_K - j + 1] = x
+        if keep[j - 1]:
+            states[stored] = x
+            stored += 1
+    return states
+
+
+def reference_path(
+    x_T: np.ndarray,
+    model: GaussianMixtureOracle,
+    dense_K: int = 1000,
+    t_min: float = 0.0,
+    checkpoints: Optional[np.ndarray] = None,
+) -> SamplePath:
+    """The dense reference: ``dense_flow`` from T down to t_min.
+
+    By default the path holds all dense_K + 1 states. Given checkpoint
+    times, it holds only the states at the dense points nearest them, and
+    its trajectory points are those dense points; ``gap_profile`` reads
+    either path the same way.
+    """
+    T = model.schedule.T
+    pts = _dense_points(T, t_min, dense_K)
+    record = None
+    if checkpoints is not None:
+        record = np.unique([_nearest(pts, t) for t in checkpoints])
+        pts = pts[record]
+    states = dense_flow(x_T, model, T, t_min, dense_K, record)
     return SamplePath(states=states, trajectory_points=pts)
 
 
@@ -135,22 +184,17 @@ def gap_profile(
 ) -> GapReport:
     """Mean L2 distance to the reference at every coarse checkpoint.
 
-    Reference states at off-grid times come from the nearest dense point;
-    keep the dense spacing at or below one t-unit.
+    Reference states at off-grid times come from the nearest reference
+    point; keep the dense spacing at or below one t-unit.
     """
     if coarse.states.shape[1:] != reference.states.shape[1:]:
         raise ContractError("coarse and reference paths disagree on batch shape")
     if not np.array_equal(coarse.states[0], reference.states[0]):
         raise ContractError("coarse and reference paths must share x_T")
-    dense_pts = reference.trajectory_points
-    dense_K = len(dense_pts) - 1
     n_paths = coarse.states.shape[1]
     rows = []
-    K = len(coarse.trajectory_points) - 1
-    for i in range(K + 1):
-        t = coarse.trajectory_points[i]
-        j = int(np.argmin(np.abs(dense_pts - t)))
-        gt = reference.states[dense_K - j]
+    for i, t in enumerate(coarse.trajectory_points):
+        gt = reference.state_at(_nearest(reference.trajectory_points, t))
         g = np.linalg.norm(coarse.state_at(i) - gt, axis=1)
         stderr = float(g.std(ddof=1) / sqrt(n_paths)) if n_paths > 1 else 0.0
         rows.append((i, float(t), float(g.mean()), stderr, n_paths))
@@ -200,16 +244,20 @@ def sliced_wasserstein(
     rng = derive_rng(seed, PURPOSE_PROJ)
     dirs = rng.standard_normal((n_projections, D))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pa = a @ dirs.T  # (n_a, P)
-    pb = b @ dirs.T
     m = max(a.shape[0], b.shape[0])
     q = (np.arange(m) + 0.5) / m
     # inverted-CDF quantiles at the midpoint levels via one sort per column;
     # identical values to np.quantile(..., method="inverted_cdf") but without
     # its per-level cost, which is prohibitive for large m
-    qa = np.sort(pa, axis=0)[np.clip(np.ceil(q * pa.shape[0]).astype(int) - 1, 0, pa.shape[0] - 1)]
-    qb = np.sort(pb, axis=0)[np.clip(np.ceil(q * pb.shape[0]).astype(int) - 1, 0, pb.shape[0] - 1)]
-    w2 = np.sqrt(np.mean((qa - qb) ** 2, axis=0))
+    ia = np.clip(np.ceil(q * a.shape[0]).astype(int) - 1, 0, a.shape[0] - 1)
+    ib = np.clip(np.ceil(q * b.shape[0]).astype(int) - 1, 0, b.shape[0] - 1)
+    # a chunk of directions at a time keeps the (rows, directions) arrays small
+    w2 = np.empty(n_projections)
+    for c in range(0, n_projections, _PROJ_CHUNK):
+        d = dirs[c : c + _PROJ_CHUNK]
+        qa = np.sort(a @ d.T, axis=0)[ia]
+        qb = np.sort(b @ d.T, axis=0)[ib]
+        w2[c : c + len(d)] = np.sqrt(np.mean((qa - qb) ** 2, axis=0))
     return float(w2.mean())
 
 
@@ -297,11 +345,11 @@ def error_bound_report(
         tuned = baseline_tuned(traj, sched, sampler.kind)
     x_T = draw_start_states(model, n_paths, seed)
     coarse = generate_paths(x_T, tuned, sampler, model)
-    reference = reference_path(x_T, model, dense_K, t_min=float(traj.points[0]))
-    dense_pts = reference.trajectory_points
+    reference = reference_path(
+        x_T, model, dense_K, t_min=float(traj.points[0]), checkpoints=traj.points
+    )
     K = traj.K
-    nearest = [int(np.argmin(np.abs(dense_pts - t))) for t in traj.points]
-    gt = {i: reference.states[dense_K - nearest[i]] for i in range(K + 1)}
+    gt = [reference.state_at(_nearest(reference.trajectory_points, t)) for t in traj.points]
 
     # per-step consistency loss along the coarse rollout, conditioning at
     # the tuned times the rollout actually used

@@ -199,7 +199,10 @@ def cmd_gap(args) -> int:
     _require_n(args, 1)
     x_T = draw_start_states(model, args.n, cfg.seeds.sample)
     coarse = generate_paths(x_T, tuned, sampler, model)
-    reference = reference_path(x_T, model, _DENSE_K, t_min=float(traj.points[0]))
+    reference = reference_path(
+        x_T, model, _DENSE_K, t_min=float(traj.points[0]),
+        checkpoints=coarse.trajectory_points,
+    )
     report = gap_profile(
         coarse,
         reference,

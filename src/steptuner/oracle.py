@@ -60,50 +60,66 @@ class GaussianMixtureOracle:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _log_weighted_densities(self, x: np.ndarray, t: float) -> np.ndarray:
-        """(n, k) array of log(w_k N(x; alpha mu_k, v_k I)) and v_k."""
+    def _log_weighted_densities(self, x: np.ndarray, t: float) -> tuple:
+        """x as (n, D), the (n, k) log(w_k N(x; alpha mu_k, v_k I)), alpha mu and v.
+
+        The squared distances use the expansion
+        ||x - a mu_k||^2 = ||x||^2 - 2 x . a mu_k + ||a mu_k||^2 with one
+        matrix product, so no (n, k, D) difference tensor is formed.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if not np.all(np.isfinite(x)):
             raise DomainError("oracle evaluated at non-finite point")
         alpha, sigma = self.schedule.alpha_sigma(t)
         v = alpha * alpha * self.scales**2 + sigma * sigma  # (k,)
-        diff = x[:, None, :] - alpha * self.means[None, :, :]  # (n, k, D)
-        logn = (
-            -0.5 * np.sum(diff * diff, axis=2) / v[None, :]
-            - 0.5 * self.dim * np.log(2.0 * np.pi * v)[None, :]
-            + np.log(self.weights)[None, :]
-        )
-        return logn, v, diff
+        am = alpha * self.means  # (k, D)
+        logn = x @ am.T  # (n, k)
+        logn *= -2.0
+        logn += np.sum(x * x, axis=1)[:, None]
+        logn += np.sum(am * am, axis=1)
+        logn *= -0.5 / v
+        logn += np.log(self.weights) - 0.5 * self.dim * np.log(2.0 * np.pi * v)
+        return x, logn, am, v
+
+    @staticmethod
+    def _normalise(logn: np.ndarray) -> np.ndarray:
+        """Posterior probabilities from log weights, computed in place."""
+        logn -= logn.max(axis=1, keepdims=True)
+        np.exp(logn, out=logn)
+        logn /= logn.sum(axis=1, keepdims=True)
+        return logn
 
     def responsibilities(self, x: np.ndarray, t: float) -> np.ndarray:
         """(n, k) posterior component probabilities, stable in log space."""
-        logn, _, _ = self._log_weighted_densities(x, t)
-        m = logn.max(axis=1, keepdims=True)
-        g = np.exp(logn - m)
-        return g / g.sum(axis=1, keepdims=True)
+        return self._normalise(self._log_weighted_densities(x, t)[1])
 
     def log_density(self, x: np.ndarray, t: float) -> np.ndarray:
         """log q_t(x) via log-sum-exp over components."""
         squeeze = np.asarray(x).ndim == 1
-        logn, _, _ = self._log_weighted_densities(x, t)
+        logn = self._log_weighted_densities(x, t)[1]
         m = logn.max(axis=1, keepdims=True)
         out = (m + np.log(np.exp(logn - m).sum(axis=1, keepdims=True)))[:, 0]
         return float(out[0]) if squeeze else out
 
     def score(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Gradient of log q_t at x: responsibility-weighted Gaussian pulls."""
+        """Gradient of log q_t at x: responsibility-weighted Gaussian pulls.
+
+        sum_k g_k (a mu_k - x) / v_k = (g / v) @ (a mu) - x * sum_k g_k / v_k.
+        """
         squeeze = np.asarray(x).ndim == 1
-        logn, v, diff = self._log_weighted_densities(x, t)
-        m = logn.max(axis=1, keepdims=True)
-        g = np.exp(logn - m)
-        g /= g.sum(axis=1, keepdims=True)
-        out = np.einsum("nk,nkd->nd", g / v[None, :], -diff)
+        x, logn, am, v = self._log_weighted_densities(x, t)
+        gv = self._normalise(logn)
+        gv /= v
+        out = gv @ am
+        out -= x * gv.sum(axis=1, keepdims=True)
         return out[0] if squeeze else out
 
     def epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
         """Ideal noise prediction: -sigma_t times the score at (x, t)."""
         _, sigma = self.schedule.alpha_sigma(t)
-        return -sigma * self.score(x, t)
+        out = self.score(x, t)
+        out *= -sigma
+        return out
 
     def draw(self, n: int, key, extra: int = 0) -> tuple:
         """n data rows plus ``extra`` standard normal vectors per row.

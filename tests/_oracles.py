@@ -114,3 +114,31 @@ def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         e[d] = h
         g[d] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
+
+
+def mixture_posterior(model, x: np.ndarray, t: float) -> dict:
+    """Direct mixture formulas from the (n, k, D) differences x - alpha mu_k.
+
+    Returns epsilon, score, log_density and responsibilities at the rows of
+    x, each evaluated with the explicit per-component difference tensor.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    alpha, sigma = model.schedule.alpha_sigma(t)
+    v = alpha * alpha * model.scales**2 + sigma * sigma
+    diff = x[:, None, :] - alpha * model.means[None, :, :]
+    logn = (
+        -0.5 * np.sum(diff * diff, axis=2) / v
+        - 0.5 * model.dim * np.log(2.0 * np.pi * v)
+        + np.log(model.weights)
+    )
+    m = logn.max(axis=1, keepdims=True)
+    g = np.exp(logn - m)
+    total = g.sum(axis=1, keepdims=True)
+    g = g / total
+    score = np.einsum("nk,nkd->nd", g / v, -diff)
+    return {
+        "epsilon": -sigma * score,
+        "score": score,
+        "log_density": (m + np.log(total))[:, 0],
+        "responsibilities": g,
+    }

@@ -1,5 +1,7 @@
 """Path analysis and distribution metrics against independent references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -90,6 +92,36 @@ def test_reference_path_repeatable(gmm8_model):
         reference_path(x, gmm8_model, dense_K=0)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "quadratic", "log-snr"])
+def test_reference_checkpoints_equal_full_reference(gmm8_model, schedule, kind):
+    traj = make_trajectory(kind, 10, schedule)
+    x_T = draw_start_states(gmm8_model, 64, 3)
+    t_min = float(traj.points[0])
+    full = reference_path(x_T, gmm8_model, dense_K=1000, t_min=t_min)
+    ckpt = reference_path(x_T, gmm8_model, dense_K=1000, t_min=t_min, checkpoints=traj.points)
+    dense = full.trajectory_points
+    nearest = sorted({int(np.argmin(np.abs(dense - t))) for t in traj.points})
+    assert np.array_equal(ckpt.trajectory_points, dense[nearest])
+    assert np.array_equal(ckpt.states, full.states[[1000 - j for j in reversed(nearest)]])
+    base = baseline_tuned(traj, schedule, "ddim-family")
+    p = generate_paths(x_T, base, SamplerConfig(), gmm8_model)
+    assert gap_profile(p, ckpt).to_csv() == gap_profile(p, full).to_csv()
+
+
+def test_reference_checkpoints_bound_memory(gmm8_model, schedule):
+    dense_K, n = 200, 20_000
+    traj = make_trajectory("quadratic", 10, schedule)
+    x_T = draw_start_states(gmm8_model, n, 0)
+    tracemalloc.start()
+    try:
+        ref = reference_path(x_T, gmm8_model, dense_K=dense_K, checkpoints=traj.points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ref.states.shape == (11, n, 2)
+    assert peak < 0.25 * (dense_K + 1) * n * 2 * 8
+
+
 # ---------------------------------------------------------------- gap profile
 
 
@@ -177,7 +209,7 @@ def test_frechet_distance_matches_scipy_sqrtm(gmm8_model):
     ma, mb = x.mean(axis=0), y.mean(axis=0)
     Ca = np.cov(x, rowvar=False)
     Cb = np.cov(y, rowvar=False)
-    cross, _ = scipy.linalg.sqrtm(Ca @ Cb, disp=False)
+    cross = scipy.linalg.sqrtm(Ca @ Cb)
     expected = float(
         np.sum((ma - mb) ** 2) + np.trace(Ca) + np.trace(Cb) - 2.0 * np.trace(cross.real)
     )

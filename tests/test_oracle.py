@@ -1,9 +1,11 @@
 """Mixture oracle: score vs finite differences, normalization, sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from _oracles import finite_difference_gradient
+from _oracles import finite_difference_gradient, mixture_posterior
 from steptuner import DomainError, GaussianMixtureOracle, NoiseSchedule, gmm8, standard_gaussian
 from steptuner.oracle import make_oracle
 from steptuner.rng import PURPOSE_DATA, derive_rng
@@ -21,6 +23,54 @@ def test_score_matches_finite_differences(gmm8_model, rng):
         rel = np.linalg.norm(grad - grad_fd) / max(1e-12, np.linalg.norm(grad_fd))
         worst = max(worst, rel)
     assert worst < 1e-5
+
+
+def _unequal_mixture_3d(schedule):
+    return GaussianMixtureOracle(
+        schedule=schedule,
+        means=np.array([[2.0, -1.0, 0.5], [-3.0, 0.0, 1.0], [0.5, 4.0, -2.0]]),
+        scales=np.array([0.02, 0.4, 1.5]),
+        weights=np.array([0.6, 0.3, 0.1]),
+    )
+
+
+@pytest.mark.parametrize("name", ["gmm8", "standard3", "unequal3"])
+def test_expanded_distances_match_direct_formula(schedule, name):
+    # the oracle expands ||x - alpha mu_k||^2 instead of forming the
+    # (n, k, D) differences; both must agree to 1e-10 normwise relative
+    model = {
+        "gmm8": lambda: gmm8(schedule),
+        "standard3": lambda: standard_gaussian(schedule, dim=3),
+        "unequal3": lambda: _unequal_mixture_3d(schedule),
+    }[name]()
+    rng = np.random.default_rng(11)
+    for t in (schedule.t_eps, 0.01, 1.0, 80.0, 300.0, 999.0, schedule.T):
+        for radius in (0.01, 0.1, 1.0, 3.0, 10.0):
+            x = rng.standard_normal((64, model.dim))
+            x *= radius / np.linalg.norm(x, axis=1, keepdims=True)
+            for method, want in mixture_posterior(model, x, t).items():
+                got = getattr(model, method)(x, t)
+                rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert rel < 1e-10, (method, t, radius, rel)
+
+
+def test_epsilon_memory_has_no_component_dim_tensor(schedule):
+    n, k, D = 20_000, 8, 16
+    rng = np.random.default_rng(2)
+    model = GaussianMixtureOracle(
+        schedule=schedule,
+        means=rng.standard_normal((k, D)),
+        scales=np.full(k, 0.3),
+        weights=np.full(k, 1.0 / k),
+    )
+    x = rng.standard_normal((n, D))
+    tracemalloc.start()
+    try:
+        model.epsilon(x, 250.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n * k * D * 8
 
 
 def test_responsibilities_sum_to_one(gmm8_model, rng):
