@@ -52,11 +52,10 @@ from .trajectory import (
 )
 from .tuner import (
     LossEstimate,
+    StepLoss,
     TuneRecord,
     TunerConfig,
     diagnostic_loss_curves,
-    loss_parallel,
-    loss_sequential,
     optimize_tau,
     tune,
 )
@@ -75,6 +74,7 @@ __all__ = [
     "NumericError",
     "SamplePath",
     "SamplerConfig",
+    "StepLoss",
     "StepTunerError",
     "Trajectory",
     "TuneRecord",
@@ -93,8 +93,6 @@ __all__ = [
     "generate_paths",
     "gmm8",
     "load_config",
-    "loss_parallel",
-    "loss_sequential",
     "make_trajectory",
     "midpoint_time",
     "optimize_tau",

@@ -32,9 +32,6 @@ class GapReport:
     """Per-checkpoint mean L2 distance to the dense reference."""
 
     rows: list  # (step_index, t, mean_gap, stderr, n_paths)
-    tuned: bool
-    sampler_kind: str
-    trajectory_kind: str
 
     def to_csv(self) -> str:
         lines = ["step_index,t,mean_gap,stderr,n_paths"]
@@ -175,13 +172,7 @@ def reference_path(
     return SamplePath(states=states, trajectory_points=pts)
 
 
-def gap_profile(
-    coarse: SamplePath,
-    reference: SamplePath,
-    tuned: bool = False,
-    sampler_kind: str = "ddim-family",
-    trajectory_kind: str = "uniform",
-) -> GapReport:
+def gap_profile(coarse: SamplePath, reference: SamplePath) -> GapReport:
     """Mean L2 distance to the reference at every coarse checkpoint.
 
     Reference states at off-grid times come from the nearest reference
@@ -198,9 +189,7 @@ def gap_profile(
         g = np.linalg.norm(coarse.state_at(i) - gt, axis=1)
         stderr = float(g.std(ddof=1) / sqrt(n_paths)) if n_paths > 1 else 0.0
         rows.append((i, float(t), float(g.mean()), stderr, n_paths))
-    return GapReport(
-        rows=rows, tuned=tuned, sampler_kind=sampler_kind, trajectory_kind=trajectory_kind
-    )
+    return GapReport(rows=rows)
 
 
 def frechet_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:

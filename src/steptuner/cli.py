@@ -28,7 +28,6 @@ from .analysis import (
 )
 from .config import ExperimentConfig, Seeds, load_config
 from .errors import ConfigError, ContractError, StepTunerError
-from .samplers import SamplerConfig
 from .trajectory import baseline_tuned, tuned_from_json, tuned_to_json
 from .tuner import tune as run_tune
 
@@ -87,16 +86,6 @@ def _require_n(args, least: int) -> None:
         raise ConfigError(f"--n must be at least {least} for {args.command}")
 
 
-def _runtime(cfg: ExperimentConfig):
-    schedule = cfg.schedule.build()
-    model = cfg.oracle.build(schedule)
-    traj = cfg.trajectory.build(schedule)
-    sampler = SamplerConfig(
-        kind=cfg.sampler.kind, eta=cfg.sampler.eta, seed=cfg.seeds.sample
-    )
-    return schedule, model, traj, sampler
-
-
 def _load_tuned(args, traj, schedule, sampler):
     if args.tuned is None:
         return baseline_tuned(traj, schedule, sampler.kind), False
@@ -109,6 +98,8 @@ def _load_tuned(args, traj, schedule, sampler):
         raise ConfigError(f"tuned file {path} is not valid JSON: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"tuned file {path} lacks key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"tuned file {path} is malformed: {exc}") from exc
     if tuned.sampler_kind != sampler.kind:
         raise ContractError(
             f"tuned file targets sampler {tuned.sampler_kind!r}, "
@@ -165,7 +156,7 @@ def _matrix_csv(x: np.ndarray) -> str:
 
 def cmd_tune(args) -> int:
     cfg = _load(args)
-    schedule, model, traj, sampler = _runtime(cfg)
+    schedule, model, traj, sampler = cfg.build()
     tuned, records = run_tune(cfg.tuner, traj, sampler, model)
     out = _out_path(args, cfg, "tuned.json")
     out.write_text(tuned_to_json(tuned, schedule))
@@ -178,7 +169,7 @@ def cmd_tune(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = _load(args)
-    schedule, model, traj, sampler = _runtime(cfg)
+    schedule, model, traj, sampler = cfg.build()
     tuned, _ = _load_tuned(args, traj, schedule, sampler)
     out = _out_path(args, cfg, "samples.csv")
     if args.n == 0:
@@ -194,8 +185,8 @@ def cmd_sample(args) -> int:
 
 def cmd_gap(args) -> int:
     cfg = _load(args)
-    schedule, model, traj, sampler = _runtime(cfg)
-    tuned, is_tuned = _load_tuned(args, traj, schedule, sampler)
+    schedule, model, traj, sampler = cfg.build()
+    tuned, _ = _load_tuned(args, traj, schedule, sampler)
     _require_n(args, 1)
     x_T = draw_start_states(model, args.n, cfg.seeds.sample)
     coarse = generate_paths(x_T, tuned, sampler, model)
@@ -203,13 +194,7 @@ def cmd_gap(args) -> int:
         x_T, model, _DENSE_K, t_min=float(traj.points[0]),
         checkpoints=coarse.trajectory_points,
     )
-    report = gap_profile(
-        coarse,
-        reference,
-        tuned=is_tuned,
-        sampler_kind=sampler.kind,
-        trajectory_kind=cfg.trajectory.kind,
-    )
+    report = gap_profile(coarse, reference)
     out = _out_path(args, cfg, "gap.csv")
     out.write_text(report.to_csv())
     _write_meta(out, "gap", cfg, args, [out])
@@ -219,7 +204,7 @@ def cmd_gap(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    schedule, model, traj, sampler = _runtime(cfg)
+    schedule, model, traj, sampler = cfg.build()
     if args.tuned is None:
         raise ConfigError("sweep requires --tuned")
     tuned, _ = _load_tuned(args, traj, schedule, sampler)
@@ -239,7 +224,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load(args)
-    schedule, model, traj, sampler = _runtime(cfg)
+    schedule, model, traj, sampler = cfg.build()
     tuned, is_tuned = _load_tuned(args, traj, schedule, sampler)
     _require_n(args, model.dim + 1)
     x_T = draw_start_states(model, args.n, cfg.seeds.sample)

@@ -97,6 +97,26 @@ class ExperimentConfig:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
+    def build(self) -> tuple:
+        """The run's (schedule, model, trajectory, sampler).
+
+        A library DomainError is re-raised as a ConfigError at the dotted
+        path of the block that raised it.
+        """
+        schedule = _build("schedule", self.schedule.build)
+        model = _build("oracle", self.oracle.build, schedule)
+        traj = _build("trajectory", self.trajectory.build, schedule)
+        sampler = _build(
+            "sampler", SamplerConfig,
+            kind=self.sampler.kind, eta=self.sampler.eta, seed=self.seeds.sample,
+        )
+        if sampler.kind == "dpm-solver-2" and self.trajectory.t_min < schedule.t_eps:
+            raise ConfigError(
+                "trajectory.t_min: the two-evaluation sampler needs "
+                f"t_min >= t_eps ({schedule.t_eps!r} for this schedule)"
+            )
+        return schedule, model, traj, sampler
+
 
 # JSON types accepted for each annotated field type; bool is not a number
 _JSON_TYPES = {float: (int, float), int: int, str: str, list: list}
@@ -135,15 +155,7 @@ def _parse(cls, doc, path: str):
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     cfg = _parse(ExperimentConfig, doc, "")
-    schedule = _build("schedule", cfg.schedule.build)
-    _build("oracle", cfg.oracle.build, schedule)
-    _build("trajectory", cfg.trajectory.build, schedule)
-    _build("sampler", SamplerConfig, cfg.sampler.kind, cfg.sampler.eta)
-    if cfg.sampler.kind == "dpm-solver-2" and cfg.trajectory.t_min < schedule.t_eps:
-        raise ConfigError(
-            "trajectory.t_min: the two-evaluation sampler needs "
-            f"t_min >= t_eps ({schedule.t_eps!r} for this schedule)"
-        )
+    cfg.build()
     return cfg
 
 

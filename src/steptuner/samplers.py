@@ -49,7 +49,6 @@ class SamplePath:
 
     states: np.ndarray  # (K+1, n, D); states[0] is the supplied x_T
     trajectory_points: np.ndarray
-    seed: Optional[int] = None
 
     def state_at(self, i: int) -> np.ndarray:
         """State at trajectory index i (i = K is the start)."""
@@ -145,6 +144,26 @@ def dpm_solver2_step(
     return (a_to / a_from) * x - s_to * (exp(h) - 1.0) * model.epsilon(u, tau_b)
 
 
+def step(
+    x: np.ndarray,
+    t_from: float,
+    t_to: float,
+    taus,
+    model: GaussianMixtureOracle,
+    sampler: SamplerConfig,
+    noise: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One step of the sampler's kind, conditioning its sites at taus.
+
+    taus holds one conditioning time per evaluation site (see
+    ``TunedTrajectory.taus_for_step``); noise is required when the sampler
+    is stochastic.
+    """
+    if sampler.kind == "ddim-family":
+        return ddim_step(x, t_from, t_to, taus[0], model, sampler.eta, noise)
+    return dpm_solver2_step(x, t_from, t_to, taus[0], taus[1], model)
+
+
 def sample_path(
     x_T: np.ndarray,
     tuned: TunedTrajectory,
@@ -169,20 +188,15 @@ def sample_path(
     states = np.empty((K + 1,) + x.shape)
     states[0] = x
     for i in range(K, 0, -1):
-        t_from, t_to = pts[i], pts[i - 1]
-        taus = tuned.taus_for_step(i)
-        if sampler.kind == "ddim-family":
-            noise = None
-            if sampler.eta > 0.0:
-                noise = np.empty_like(x)
-                for row in range(x.shape[0]):
-                    rng = derive_rng(sampler.seed, PURPOSE_PATHS, row, i)
-                    noise[row] = rng.standard_normal(x.shape[1])
-            x = ddim_step(x, t_from, t_to, taus[0], model, sampler.eta, noise)
-        else:
-            x = dpm_solver2_step(x, t_from, t_to, taus[0], taus[1], model)
+        noise = None
+        if not sampler.deterministic:
+            noise = np.empty_like(x)
+            for row in range(x.shape[0]):
+                rng = derive_rng(sampler.seed, PURPOSE_PATHS, row, i)
+                noise[row] = rng.standard_normal(x.shape[1])
+        x = step(x, pts[i], pts[i - 1], tuned.taus_for_step(i), model, sampler, noise)
         states[K - i + 1] = x
-    return SamplePath(states=states, trajectory_points=pts, seed=sampler.seed)
+    return SamplePath(states=states, trajectory_points=pts)
 
 
 __all__ = [
@@ -192,4 +206,5 @@ __all__ = [
     "ddim_step_baseline",
     "dpm_solver2_step",
     "sample_path",
+    "step",
 ]

@@ -4,13 +4,15 @@ For each step i of a trajectory, the tuner searches for the conditioning
 time tau_i whose step output stays most consistent with the model: the
 loss is the mean squared difference between the model's prediction at the
 stepped state (evaluated at the next trajectory time) and its prediction
-at the current state. Two training modes differ only in how the current
-state is built:
+at the current state. ``StepLoss`` is that loss for one step, built once
+and called per candidate. Its prefix decides how the current state is
+built, which is all the two training strategies differ in:
 
-  sequential - states are rolled from t_K down using already-tuned times,
-               so each step trains on the states it will actually see;
-  parallel   - states are exact forward samples at t_i, so all steps are
-               independent and can be trained in any order.
+  sequential - prefix = the times already tuned for steps K..i+1, so
+               states are rolled from t_K and each step trains on the
+               states it will actually see;
+  parallel   - no prefix: states are exact forward samples at t_i, so all
+               steps are independent and can be trained in any order.
 
 All Monte Carlo draws use common random numbers: one (x0, eps) batch per
 step, derived per sample from (seed, step, sample index), reused across
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .oracle import GaussianMixtureOracle
 from .rng import PURPOSE_TUNE, check_seed
-from .samplers import SamplerConfig, ddim_step, dpm_solver2_step
+from .samplers import SamplerConfig, step
 from .trajectory import (
     Trajectory,
     TunedTrajectory,
@@ -87,29 +89,37 @@ class TuneRecord:
     boundary: bool
 
 
-def _apply_step(x, t_from, t_to, taus, model, sampler: SamplerConfig, noise):
-    if sampler.kind == "ddim-family":
-        return ddim_step(x, t_from, t_to, taus[0], model, sampler.eta, noise)
-    return dpm_solver2_step(x, t_from, t_to, taus[0], taus[1], model)
+class StepLoss:
+    """Consistency loss of step i on one frozen batch, called per candidate.
 
-
-class _LossContext:
-    """Frozen batch and state for one step's loss evaluations."""
+    The batch is drawn once, keyed by (seed, tune purpose, i): per row the
+    mixture component, x0, eps, then the solver noise of every step the
+    row takes when the sampler is stochastic. With prefix None the states
+    are exact forward samples at t_i. A prefix lists the conditioning
+    times of steps K..i+1 in rollout order, one site tuple per step; the
+    states are then forward samples at t_K rolled through those steps.
+    Calling the object with one site tuple scores the step from t_i to
+    t_{i-1} conditioned there, on the same batch every time.
+    """
 
     def __init__(
         self,
         i: int,
         traj: Trajectory,
         model: GaussianMixtureOracle,
-        sampler: SamplerConfig,
-        batch: int,
-        seed: int,
-        strategy: str,
-        prefix_taus: Optional[Sequence[Sequence[float]]] = None,
+        sampler: SamplerConfig = SamplerConfig(),
+        batch: int = 4096,
+        seed: int = 0,
+        prefix: Optional[Sequence[Sequence[float]]] = None,
     ):
         if not (1 <= i <= traj.K):
             raise DomainError(f"step index must lie in [1, {traj.K}], got {i}")
-        self.i = i
+        if prefix is not None and len(prefix) != traj.K - i:
+            raise DomainError(
+                f"rolled loss at step {i} needs {traj.K - i} prefix entries, "
+                f"got {len(prefix)}"
+            )
+        prefix = [] if prefix is None else prefix
         self.model = model
         self.sampler = sampler
         pts = traj.points
@@ -119,26 +129,15 @@ class _LossContext:
         # when the destination is t = 0 the model output is identically
         # zero there, so the consistency target is evaluated at t_eps
         self.t_cond = max(self.t_to, sched.t_eps)
-        needs_noise = sampler.kind == "ddim-family" and sampler.eta > 0.0
-        n_prefix = traj.K - i if strategy == "sequential" else 0
-        n_noise = (n_prefix + 1) if needs_noise else 0
-        # sample j of step i: component, x0, eps, then the solver noise of
-        # each step it is rolled through
+        needs_noise = not sampler.deterministic
+        n_noise = (len(prefix) + 1) if needs_noise else 0
         x0, normals = model.draw(batch, (seed, PURPOSE_TUNE, i), extra=1 + n_noise)
         eps, noises = normals[0], normals[1:]
-        x = sched.forward_sample(x0, pts[traj.K] if strategy == "sequential" else pts[i], eps)
-        if strategy == "sequential":
-            prefix_taus = list(prefix_taus or [])
-            if len(prefix_taus) != traj.K - i:
-                raise DomainError(
-                    f"sequential loss at step {i} needs {traj.K - i} tuned "
-                    f"prefix entries, got {len(prefix_taus)}"
-                )
-            for idx, j in enumerate(range(traj.K, i, -1)):
-                noise = noises[idx] if needs_noise else None
-                x = _apply_step(
-                    x, pts[j], pts[j - 1], prefix_taus[idx], model, sampler, noise
-                )
+        x = sched.forward_sample(x0, pts[i + len(prefix)], eps)
+        for idx, taus in enumerate(prefix):
+            j = traj.K - idx
+            noise = noises[idx] if needs_noise else None
+            x = step(x, pts[j], pts[j - 1], taus, model, sampler, noise)
         self.state = x
         self.x0 = x0
         self.step_noise = noises[-1] if needs_noise else None
@@ -147,7 +146,7 @@ class _LossContext:
 
     def _score(self, taus: Sequence[float], target: np.ndarray) -> LossEstimate:
         """Mean squared distance of the stepped state's prediction to target."""
-        y = _apply_step(
+        y = step(
             self.state, self.t_from, self.t_to, taus, self.model, self.sampler,
             self.step_noise,
         )
@@ -161,62 +160,18 @@ class _LossContext:
             raise NumericError(f"non-finite loss at conditioning times {taus}")
         return LossEstimate(value=value, stderr=stderr, batch=self.batch)
 
-    def loss(self, taus: Sequence[float]) -> LossEstimate:
+    def __call__(self, taus: Sequence[float]) -> LossEstimate:
         return self._score(taus, self.target)
 
-    def denoising_loss(self, taus: Sequence[float]) -> LossEstimate:
+    def denoising(self, taus: Sequence[float]) -> LossEstimate:
         """Same stepped state scored against the batch's true noise.
 
-        Diagnostic companion to :meth:`loss`; meaningful when the state is
-        an exact forward sample, where the true noise is the posterior
-        target the model itself regresses to.
+        Diagnostic companion to the consistency loss; meaningful when the
+        state is an exact forward sample, where the true noise is the
+        posterior target the model itself regresses to.
         """
         alpha_i, sigma_i = self.model.schedule.alpha_sigma(self.t_from)
         return self._score(taus, (self.state - alpha_i * self.x0) / sigma_i)
-
-
-def loss_sequential(
-    i: int,
-    tau,
-    tuned_prefix: Sequence,
-    traj: Trajectory,
-    model: GaussianMixtureOracle,
-    batch: int,
-    seed: int,
-    sampler: Optional[SamplerConfig] = None,
-) -> LossEstimate:
-    """Loss of candidate tau at step i on states rolled with tuned_prefix.
-
-    tuned_prefix lists the conditioning times of steps K..i+1 in rollout
-    order, one sequence per step (one entry each for single-eval solvers).
-    """
-    sampler = sampler or SamplerConfig()
-    ctx = _LossContext(
-        i, traj, model, sampler, batch, seed, "sequential",
-        prefix_taus=[_as_site_tuple(p) for p in tuned_prefix],
-    )
-    return ctx.loss(_as_site_tuple(tau))
-
-
-def loss_parallel(
-    i: int,
-    tau,
-    traj: Trajectory,
-    model: GaussianMixtureOracle,
-    batch: int,
-    seed: int,
-    sampler: Optional[SamplerConfig] = None,
-) -> LossEstimate:
-    """Loss of candidate tau at step i on exact forward samples at t_i."""
-    sampler = sampler or SamplerConfig()
-    ctx = _LossContext(i, traj, model, sampler, batch, seed, "parallel")
-    return ctx.loss(_as_site_tuple(tau))
-
-
-def _as_site_tuple(tau) -> tuple:
-    if np.isscalar(tau):
-        return (float(tau),)
-    return tuple(float(v) for v in tau)
 
 
 def optimize_tau(
@@ -265,9 +220,9 @@ def optimize_tau(
     return float(best_tau), float(best_val), bool(flag)
 
 
-def _search_bounds(cfg: TunerConfig, traj: Trajectory, i: int, t_eps: float) -> tuple:
+def _search_bounds(bounds: str, traj: Trajectory, i: int, t_eps: float) -> tuple:
     pts = traj.points
-    if cfg.bounds == "interval":
+    if bounds == "interval":
         return max(pts[i - 1], t_eps), pts[i]
     hi = pts[i + 1] if i < traj.K else pts[traj.K]
     return t_eps, hi
@@ -296,27 +251,27 @@ def tune(
     chosen: list = []  # per-step site tuples, rollout order K..i+1
     untuned = baseline_tuned(traj, sched, sampler.kind)
     for i in range(traj.K, 0, -1):
-        ctx = _LossContext(
-            i, traj, model, sampler, cfg.batch, cfg.seed, cfg.strategy,
-            prefix_taus=chosen if cfg.strategy == "sequential" else None,
+        loss = StepLoss(
+            i, traj, model, sampler, cfg.batch, cfg.seed,
+            prefix=chosen if cfg.strategy == "sequential" else None,
         )
-        lo, hi = _search_bounds(cfg, traj, i, sched.t_eps)
+        lo, hi = _search_bounds(cfg.bounds, traj, i, sched.t_eps)
         baseline_sites = tuple(untuned.taus_for_step(i))
-        base_est = ctx.loss(baseline_sites)
+        base_est = loss(baseline_sites)
         sites = list(baseline_sites)
         flags = []
         for site_idx in range(per_step):
             def site_loss(tau, _idx=site_idx):
                 probe = list(sites)
                 probe[_idx] = tau
-                return ctx.loss(tuple(probe)).value
+                return loss(tuple(probe)).value
 
             tau_star, _, flag = optimize_tau(
                 site_loss, (lo, hi), cfg.coarse_grid, cfg.refine_tol
             )
             sites[site_idx] = tau_star
             flags.append(flag)
-        tuned_est = ctx.loss(tuple(sites))
+        tuned_est = loss(tuple(sites))
         if base_est.value <= tuned_est.value:
             # the untuned times are always in the candidate set
             sites = list(baseline_sites)
@@ -349,28 +304,16 @@ def diagnostic_loss_curves(
     batch: int,
     seed: int,
     n_grid: int = 101,
-    bounds: str = "interval",
-    state_mode: str = "forward",
-    prefix_taus: Optional[Sequence] = None,
-    sampler: Optional[SamplerConfig] = None,
 ) -> dict:
     """Consistency loss and denoising loss on a shared tau grid.
 
-    Both curves use the same frozen batch. state_mode selects exact forward
-    samples at t_i ("forward", where the denoising target is the batch's
-    true noise) or states rolled with prefix_taus ("rolled").
+    Both curves score the same frozen batch of exact forward samples at
+    t_i, where the denoising target is the batch's true noise, over the
+    interval (max(t_{i-1}, t_eps), t_i).
     """
-    sampler = sampler or SamplerConfig()
-    ctx = _LossContext(
-        i, traj, model, sampler, batch, seed,
-        "parallel" if state_mode == "forward" else "sequential",
-        prefix_taus=[_as_site_tuple(p) for p in (prefix_taus or [])]
-        if state_mode != "forward"
-        else None,
-    )
-    cfg = TunerConfig(bounds=bounds)
-    lo, hi = _search_bounds(cfg, traj, i, model.schedule.t_eps)
+    loss = StepLoss(i, traj, model, batch=batch, seed=seed)
+    lo, hi = _search_bounds("interval", traj, i, model.schedule.t_eps)
     grid = np.linspace(lo, hi, n_grid)
-    consistency = np.array([ctx.loss((g,)).value for g in grid])
-    denoising = np.array([ctx.denoising_loss((g,)).value for g in grid])
+    consistency = np.array([loss((g,)).value for g in grid])
+    denoising = np.array([loss.denoising((g,)).value for g in grid])
     return {"tau_grid": grid, "consistency": consistency, "denoising": denoising}

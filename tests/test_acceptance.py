@@ -34,7 +34,7 @@ from steptuner.analysis import (
 )
 from steptuner.oracle import gmm8, standard_gaussian
 from steptuner.samplers import ddim_step, ddim_step_baseline
-from steptuner.tuner import diagnostic_loss_curves, loss_parallel
+from steptuner.tuner import StepLoss, diagnostic_loss_curves
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> str:
@@ -73,7 +73,7 @@ def gap_bundle(gmm8_model, schedule, traj10, tuned_seq):
     base20 = baseline_tuned(traj20, schedule, "ddim-family")
     return {
         "base10": gap_profile(generate_paths(x_T, base10, det, gmm8_model), ref),
-        "tuned10": gap_profile(generate_paths(x_T, tuned_seq, det, gmm8_model), ref, tuned=True),
+        "tuned10": gap_profile(generate_paths(x_T, tuned_seq, det, gmm8_model), ref),
         "base20": gap_profile(generate_paths(x_T, base20, det, gmm8_model), ref),
     }
 
@@ -163,8 +163,10 @@ def test_c05_optimizer_behaviour(gmm8_model, traj10):
     i = 5
     lo, hi = traj10.points[i - 1], traj10.points[i]
 
+    loss = StepLoss(i, traj10, gmm8_model, batch=1024, seed=0)
+
     def f(tau):
-        return loss_parallel(i, tau, traj10, gmm8_model, 1024, 0).value
+        return loss((tau,)).value
 
     tau_star, _, _ = optimize_tau(f, (lo, hi), 33, 0.01)
     dense = np.linspace(lo, hi, 1001)
@@ -228,7 +230,7 @@ def test_c08_loss_curve_argmin_agreement(gmm8_model, traj10):
     offenders = []
     for i in range(1, 11):
         curves = diagnostic_loss_curves(
-            i, traj10, gmm8_model, batch=4096, seed=0, n_grid=101, state_mode="forward"
+            i, traj10, gmm8_model, batch=4096, seed=0, n_grid=101
         )
         ja = int(np.argmin(curves["consistency"]))
         jb = int(np.argmin(curves["denoising"]))

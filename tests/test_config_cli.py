@@ -350,6 +350,18 @@ def test_cli_malformed_tuned_file_exits_2(tmp_path, capsys):
         assert cli.main(["sample", "--config", cfg, "--tuned", str(bad), "--n", "4"]) == 2
         err = capsys.readouterr().err
         assert "bad_tuned.json" in err and key in err, err
+    wrong_values = [
+        dict(doc, pairs=5),
+        dict(doc, pairs=[dict(doc["pairs"][0], tau="x")] + doc["pairs"][1:]),
+        dict(doc, trajectory=dict(doc["trajectory"], K="abc")),
+        dict(doc, bounds=[[1.0]] + doc["bounds"][1:]),
+        [doc],
+    ]
+    for malformed in wrong_values:
+        bad.write_text(json.dumps(malformed))
+        assert cli.main(["sample", "--config", cfg, "--tuned", str(bad), "--n", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "bad_tuned.json" in err and "Traceback" not in err, err
 
 
 def test_cli_rejects_bad_flag_values(tmp_path, capsys):

@@ -12,10 +12,9 @@ from steptuner import (
     DomainError,
     NumericError,
     SamplerConfig,
+    StepLoss,
     TunerConfig,
     diagnostic_loss_curves,
-    loss_parallel,
-    loss_sequential,
     make_trajectory,
     optimize_tau,
     tune,
@@ -40,9 +39,10 @@ def test_parallel_loss_closed_form_exact_batch(standard_model, schedule):
     i, batch, seed = 5, 512, 7
     x0, eps = reconstruct_tune_batch(standard_model, batch, seed, i)
     x = schedule.forward_sample(x0, traj.points[i], eps)
+    loss = StepLoss(i, traj, standard_model, batch=batch, seed=seed)
     for tau in [traj.points[i], 205.0, 161.0]:
         expected = _closed_form_parallel_loss(schedule, traj, i, tau, x)
-        est = loss_parallel(i, tau, traj, standard_model, batch, seed)
+        est = loss((tau,))
         assert est.value == pytest.approx(expected, rel=1e-12)
         assert est.batch == batch
         assert est.value >= 0.0
@@ -53,7 +53,7 @@ def test_parallel_loss_population_within_stderr(standard_model, schedule):
     # mean ||x||^2 = dim in population for the unit-variance model
     traj = make_trajectory("quadratic", 10, schedule)
     i, tau = 6, 300.0
-    est = loss_parallel(i, tau, traj, standard_model, 8192, 3)
+    est = StepLoss(i, traj, standard_model, batch=8192, seed=3)((tau,))
     t_from, t_to = traj.points[i], traj.points[i - 1]
     _, s_from = schedule.alpha_sigma(t_from)
     _, s_cond = schedule.alpha_sigma(max(t_to, schedule.t_eps))
@@ -74,15 +74,17 @@ def test_sequential_loss_closed_form_with_prefix(standard_model, schedule):
         _, s_tau = schedule.alpha_sigma(taus[0])
         gamma *= step_coefficient(schedule, traj.points[idx], traj.points[idx - 1], s_tau)
     expected = _closed_form_parallel_loss(schedule, traj, i, 300.0, gamma * x)
-    est = loss_sequential(i, 300.0, prefix, traj, standard_model, batch, seed)
+    est = StepLoss(i, traj, standard_model, batch=batch, seed=seed, prefix=prefix)((300.0,))
     assert est.value == pytest.approx(expected, rel=1e-12)
 
 
 def test_sequential_equals_parallel_at_final_step(gmm8_model, schedule):
     traj = make_trajectory("quadratic", 6, schedule)
+    rolled = StepLoss(6, traj, gmm8_model, batch=512, seed=5, prefix=[])
+    forward = StepLoss(6, traj, gmm8_model, batch=512, seed=5)
     for tau in [traj.points[6], 700.0, 901.5]:
-        a = loss_sequential(6, tau, [], traj, gmm8_model, 512, 5)
-        b = loss_parallel(6, tau, traj, gmm8_model, 512, 5)
+        a = rolled((tau,))
+        b = forward((tau,))
         assert a.value == b.value
         assert a.stderr == b.stderr
 
@@ -90,40 +92,56 @@ def test_sequential_equals_parallel_at_final_step(gmm8_model, schedule):
 def test_sequential_prefix_length_checked(gmm8_model, schedule):
     traj = make_trajectory("quadratic", 6, schedule)
     with pytest.raises(DomainError):
-        loss_sequential(4, 100.0, [(900.0,)], traj, gmm8_model, 64, 0)
+        StepLoss(4, traj, gmm8_model, batch=64, seed=0, prefix=[(900.0,)])
     with pytest.raises(DomainError):
-        loss_parallel(0, 100.0, traj, gmm8_model, 64, 0)
+        StepLoss(0, traj, gmm8_model, batch=64, seed=0)
     with pytest.raises(DomainError):
-        loss_parallel(7, 100.0, traj, gmm8_model, 64, 0)
+        StepLoss(7, traj, gmm8_model, batch=64, seed=0)
 
 
 def test_parallel_evaluation_order_irrelevant(gmm8_model, schedule):
     traj = make_trajectory("quadratic", 5, schedule)
     taus = {i: 0.5 * (traj.points[i] + traj.points[i - 1]) for i in range(1, 6)}
-    first = {i: loss_parallel(i, taus[i], traj, gmm8_model, 256, 2).value for i in (3, 1, 5, 2, 4)}
-    second = {i: loss_parallel(i, taus[i], traj, gmm8_model, 256, 2).value for i in (1, 2, 3, 4, 5)}
+    first = {
+        i: StepLoss(i, traj, gmm8_model, batch=256, seed=2)((taus[i],)).value
+        for i in (3, 1, 5, 2, 4)
+    }
+    second = {
+        i: StepLoss(i, traj, gmm8_model, batch=256, seed=2)((taus[i],)).value
+        for i in (1, 2, 3, 4, 5)
+    }
     assert first == second
 
 
 def test_stderr_shrinks_with_batch(gmm8_model, schedule):
     traj = make_trajectory("quadratic", 10, schedule)
-    e1 = loss_parallel(5, 200.0, traj, gmm8_model, 2048, 3)
-    e2 = loss_parallel(5, 200.0, traj, gmm8_model, 4096, 3)
+    e1 = StepLoss(5, traj, gmm8_model, batch=2048, seed=3)((200.0,))
+    e2 = StepLoss(5, traj, gmm8_model, batch=4096, seed=3)((200.0,))
     assert e2.stderr / e1.stderr == pytest.approx(1.0 / sqrt(2.0), abs=0.12)
 
 
 def test_baseline_loss_strictly_positive_on_mixture(gmm8_model, schedule):
     traj = make_trajectory("quadratic", 10, schedule)
     for i in range(1, 11):
-        est = loss_parallel(i, traj.points[i], traj, gmm8_model, 1024, 0)
+        est = StepLoss(i, traj, gmm8_model, batch=1024, seed=0)((traj.points[i],))
         assert est.value > 0.0
 
 
-def test_worker_count_does_not_change_loss(gmm8_model, schedule):
+@pytest.mark.parametrize("eta", [0.0, 0.7])
+def test_step_loss_common_random_numbers(gmm8_model, schedule, eta):
+    # the search relies on this: one StepLoss scores every candidate on the
+    # same frozen batch, so a value does not depend on what was asked before
     traj = make_trajectory("quadratic", 5, schedule)
-    a = loss_parallel(3, 120.0, traj, gmm8_model, 2000, 4)
-    b = loss_parallel(3, 120.0, traj, gmm8_model, 2000, 4)
-    assert a.value == b.value
+    sampler = SamplerConfig(eta=eta, seed=9)
+    i, probe = 3, (120.0,)
+    for prefix in (None, [(950.0,), (700.0,)]):
+        args = (i, traj, gmm8_model, sampler, 500, 4, prefix)
+        loss = StepLoss(*args)
+        for tau in (traj.points[i], 60.0, 200.0, 120.0, 90.0):
+            loss((tau,))
+        after, fresh = loss(probe), StepLoss(*args)(probe)
+        assert (after.value, after.stderr) == (fresh.value, fresh.stderr)
+        assert loss.denoising(probe) == StepLoss(*args).denoising(probe)
 
 
 def test_optimizer_quadratic_recovery():
@@ -182,8 +200,10 @@ def test_optimizer_finds_analytic_minimizer(standard_model, schedule):
     tau_expected = t_of_sigma(schedule, sigma_star)
     assert t_to < tau_expected < t_from
 
+    loss = StepLoss(i, traj, standard_model, batch=256, seed=1)
+
     def f(tau):
-        return loss_parallel(i, tau, traj, standard_model, 256, 1).value
+        return loss((tau,)).value
 
     tau_star, _, flag = optimize_tau(f, (t_to, t_from), 33, 0.01)
     assert abs(tau_star - tau_expected) <= 0.05
@@ -197,8 +217,10 @@ def test_optimizer_boundary_when_minimizer_infeasible(standard_model, schedule):
     i = 5
     t_from, t_to = traj.points[i], traj.points[i - 1]
 
+    loss = StepLoss(i, traj, standard_model, batch=256, seed=1)
+
     def f(tau):
-        return loss_parallel(i, tau, traj, standard_model, 256, 1).value
+        return loss((tau,)).value
 
     tau_star, _, flag = optimize_tau(f, (t_to, t_from), 33, 0.01)
     assert tau_star == t_to
@@ -210,8 +232,10 @@ def test_optimizer_matches_dense_grid_on_mixture(gmm8_model, schedule):
     i = 5
     lo, hi = traj.points[i - 1], traj.points[i]
 
+    loss = StepLoss(i, traj, gmm8_model, batch=1024, seed=0)
+
     def f(tau):
-        return loss_parallel(i, tau, traj, gmm8_model, 1024, 0).value
+        return loss((tau,)).value
 
     tau_star, _, _ = optimize_tau(f, (lo, hi), 33, 0.01)
     dense = np.linspace(lo, hi, 1001)
@@ -239,7 +263,7 @@ def test_tune_dominance_and_record_shape(gmm8_model, schedule):
         assert hi == traj.points[i]
 
 
-def test_tune_worker_count_invariance(gmm8_model, schedule):
+def test_tune_rerun_identity(gmm8_model, schedule):
     traj = make_trajectory("quadratic", 4, schedule)
     cfg = TunerConfig(batch=256, coarse_grid=9, refine_tol=0.5, seed=1)
     t1, _ = tune(cfg, traj, SamplerConfig(), gmm8_model)
@@ -325,7 +349,7 @@ def test_consistency_and_denoising_argmin_agree_large_batch(gmm8_model, schedule
     traj = make_trajectory("quadratic", 10, schedule)
     for i in (3, 4, 5):
         curves = diagnostic_loss_curves(
-            i, traj, gmm8_model, batch=65536, seed=0, n_grid=101, state_mode="forward"
+            i, traj, gmm8_model, batch=65536, seed=0, n_grid=101
         )
         ja = int(np.argmin(curves["consistency"]))
         jb = int(np.argmin(curves["denoising"]))
