@@ -67,8 +67,8 @@ class EvalReport:
 
 
 def draw_start_states(model: GaussianMixtureOracle, n: int, seed: int) -> np.ndarray:
-    """n fully-noised states alpha_T x0 + sigma_T eps with per-sample seeds."""
-    x0, (eps,) = model.draw(n, (seed, PURPOSE_PATHS), extra=1)
+    """n fully-noised states alpha_T x0 + sigma_T eps, keyed (seed, paths, 0)."""
+    x0, (eps,) = model.draw(n, (seed, PURPOSE_PATHS, 0), extra=1)
     return model.schedule.forward_sample(x0, model.schedule.T, eps)
 
 
@@ -230,7 +230,7 @@ def sliced_wasserstein(
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise DomainError("sample sets must be non-empty")
     D = a.shape[1]
-    rng = derive_rng(seed, PURPOSE_PROJ)
+    rng = derive_rng(seed, PURPOSE_PROJ, 0, 0)
     dirs = rng.standard_normal((n_projections, D))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     m = max(a.shape[0], b.shape[0])

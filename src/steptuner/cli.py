@@ -67,8 +67,8 @@ def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         s = args.seed
-        if s < 0:
-            raise ConfigError("--seed must be a non-negative integer")
+        if not (0 <= s < 2**32 - 2):
+            raise ConfigError("--seed must be an integer in [0, 2**32 - 2)")
         cfg = replace(
             cfg,
             seeds=Seeds(sample=s, data=s + 1, eval=s + 2),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .rng import PURPOSE_DATA, per_sample_map
+from .rng import BLOCK, PURPOSE_DATA, per_sample_map
 from .schedule import NoiseSchedule
 
 
@@ -124,29 +124,38 @@ class GaussianMixtureOracle:
     def draw(self, n: int, key, extra: int = 0) -> tuple:
         """n data rows plus ``extra`` standard normal vectors per row.
 
-        Row j draws from the generator keyed by (*key, j) in a frozen
-        order: the component, the data row's noise, then the extra
-        vectors. Returns (x0 of shape (n, D), normals of shape (extra, n, D)).
+        key is (seed, purpose, step). Rows come in blocks of ``BLOCK``;
+        block b draws from the generator keyed by (*key, b) in a frozen
+        order: one ``random(BLOCK)`` call picks the components by
+        ``searchsorted(cumsum(weights), u, side="right")``, clipped to
+        k - 1, then one ``standard_normal((BLOCK, 1 + extra, D))`` call
+        gives each row its data noise followed by its extra vectors. A
+        short last block keeps the first rows of that draw (the normals
+        are drawn for its rows only, which gives the same values), so row
+        j does not depend on n. Returns (x0 of shape (n, D), normals of
+        shape (extra, n, D)).
         """
         if n < 0:
             raise DomainError(f"sample count must be >= 0, got {n}")
         D = self.dim
-        k = len(self.weights)
+        cdf = np.cumsum(self.weights)
         x0 = np.empty((n, D))
         normals = np.empty((extra, n, D))
 
-        def fill(rng: np.random.Generator, j: int) -> None:
-            comp = rng.choice(k, p=self.weights)
-            z = rng.standard_normal((1 + extra, D))
-            x0[j] = self.means[comp] + self.scales[comp] * z[0]
-            normals[:, j] = z[1:]
+        def fill(rng: np.random.Generator, rows: slice) -> None:
+            m = rows.stop - rows.start
+            comp = np.searchsorted(cdf, rng.random(BLOCK), side="right")
+            comp = np.minimum(comp[:m], len(cdf) - 1)
+            z = rng.standard_normal((m, 1 + extra, D))
+            x0[rows] = self.means[comp] + self.scales[comp, None] * z[:, 0]
+            normals[:, rows] = z[:, 1:].transpose(1, 0, 2)
 
         per_sample_map(fill, n, key)
         return x0, normals
 
     def sample_data(self, n: int, seed: int) -> np.ndarray:
-        """n clean data points, keyed per sample by (seed, data purpose)."""
-        return self.draw(n, (seed, PURPOSE_DATA))[0]
+        """n clean data points, keyed by (seed, data purpose, step 0)."""
+        return self.draw(n, (seed, PURPOSE_DATA, 0))[0]
 
 
 def gmm8(schedule: NoiseSchedule) -> GaussianMixtureOracle:

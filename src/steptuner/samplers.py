@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .oracle import GaussianMixtureOracle
-from .rng import PURPOSE_PATHS, check_seed, derive_rng
+from .rng import PURPOSE_PATHS, check_seed, per_sample_map
 from .trajectory import TunedTrajectory, midpoint_time
 
 SAMPLER_KINDS = ("ddim-family", "dpm-solver-2")
@@ -172,8 +172,11 @@ def sample_path(
 ) -> SamplePath:
     """Roll a batch of states from t_K down to t_0, recording every stop.
 
-    For stochastic sampling the noise injected into row j at step i is
-    drawn from the generator keyed by (sampler seed, paths purpose, j, i).
+    For stochastic sampling the noise of step i comes in blocks of
+    ``BLOCK`` rows: the rows of block b are one ``standard_normal`` call
+    of the generator keyed by (sampler seed, paths purpose, i, b), so a
+    row's noise does not depend on the batch size. Start states use step 0
+    of the same purpose, so the two never share a stream.
     """
     if tuned.sampler_kind != sampler.kind:
         raise ContractError(
@@ -191,9 +194,11 @@ def sample_path(
         noise = None
         if not sampler.deterministic:
             noise = np.empty_like(x)
-            for row in range(x.shape[0]):
-                rng = derive_rng(sampler.seed, PURPOSE_PATHS, row, i)
-                noise[row] = rng.standard_normal(x.shape[1])
+
+            def fill(rng: np.random.Generator, rows: slice) -> None:
+                noise[rows] = rng.standard_normal(noise[rows].shape)
+
+            per_sample_map(fill, x.shape[0], (sampler.seed, PURPOSE_PATHS, i))
         x = step(x, pts[i], pts[i - 1], tuned.taus_for_step(i), model, sampler, noise)
         states[K - i + 1] = x
     return SamplePath(states=states, trajectory_points=pts)

@@ -15,7 +15,7 @@ built, which is all the two training strategies differ in:
                steps are independent and can be trained in any order.
 
 All Monte Carlo draws use common random numbers: one (x0, eps) batch per
-step, derived per sample from (seed, step, sample index), reused across
+step, keyed by (seed, tune purpose, step) in blocks of rows, reused across
 every candidate tau. Minimization is a coarse grid scan followed by
 golden-section refinement; the untuned time is always a candidate, so the
 tuned loss can never exceed the baseline loss under the training batch.
@@ -92,12 +92,13 @@ class TuneRecord:
 class StepLoss:
     """Consistency loss of step i on one frozen batch, called per candidate.
 
-    The batch is drawn once, keyed by (seed, tune purpose, i): per row the
-    mixture component, x0, eps, then the solver noise of every step the
-    row takes when the sampler is stochastic. With prefix None the states
-    are exact forward samples at t_i. A prefix lists the conditioning
-    times of steps K..i+1 in rollout order, one site tuple per step; the
-    states are then forward samples at t_K rolled through those steps.
+    The batch is one ``model.draw`` keyed by (seed, tune purpose, i): per
+    row the mixture component, x0, eps, then the solver noise of every
+    step the row takes when the sampler is stochastic. With prefix None
+    the states are exact forward samples at t_i. A prefix lists the
+    conditioning times of steps K..i+1 in rollout order, one site tuple
+    per step; the states are then forward samples at t_K rolled through
+    those steps.
     Calling the object with one site tuple scores the step from t_i to
     t_{i-1} conditioned there, on the same batch every time.
     """
@@ -144,24 +145,35 @@ class StepLoss:
         self.target = model.epsilon(x, self.t_from)
         self.batch = batch
 
-    def _score(self, taus: Sequence[float], target: np.ndarray) -> LossEstimate:
-        """Mean squared distance of the stepped state's prediction to target."""
+    def _score(self, taus: Sequence[float], *targets: np.ndarray) -> list:
+        """Mean squared distance of the stepped state's prediction to each target.
+
+        One step and one model call serve every target.
+        """
         y = step(
             self.state, self.t_from, self.t_to, taus, self.model, self.sampler,
             self.step_noise,
         )
-        d = self.model.epsilon(y, self.t_cond) - target
-        per_sample = np.sum(d * d, axis=1)
-        value = float(per_sample.mean())
-        stderr = (
-            float(per_sample.std(ddof=1) / sqrt(self.batch)) if self.batch > 1 else 0.0
-        )
-        if not np.isfinite(value):
-            raise NumericError(f"non-finite loss at conditioning times {taus}")
-        return LossEstimate(value=value, stderr=stderr, batch=self.batch)
+        pred = self.model.epsilon(y, self.t_cond)
+        estimates = []
+        for target in targets:
+            d = pred - target
+            per_sample = np.sum(d * d, axis=1)
+            value = float(per_sample.mean())
+            stderr = (
+                float(per_sample.std(ddof=1) / sqrt(self.batch)) if self.batch > 1 else 0.0
+            )
+            if not np.isfinite(value):
+                raise NumericError(f"non-finite loss at conditioning times {taus}")
+            estimates.append(LossEstimate(value=value, stderr=stderr, batch=self.batch))
+        return estimates
 
     def __call__(self, taus: Sequence[float]) -> LossEstimate:
-        return self._score(taus, self.target)
+        return self._score(taus, self.target)[0]
+
+    def _true_noise(self) -> np.ndarray:
+        alpha_i, sigma_i = self.model.schedule.alpha_sigma(self.t_from)
+        return (self.state - alpha_i * self.x0) / sigma_i
 
     def denoising(self, taus: Sequence[float]) -> LossEstimate:
         """Same stepped state scored against the batch's true noise.
@@ -170,8 +182,11 @@ class StepLoss:
         state is an exact forward sample, where the true noise is the
         posterior target the model itself regresses to.
         """
-        alpha_i, sigma_i = self.model.schedule.alpha_sigma(self.t_from)
-        return self._score(taus, (self.state - alpha_i * self.x0) / sigma_i)
+        return self._score(taus, self._true_noise())[0]
+
+    def both(self, taus: Sequence[float]) -> tuple:
+        """(consistency, denoising) estimates from one step and one model call."""
+        return tuple(self._score(taus, self.target, self._true_noise()))
 
 
 def optimize_tau(
@@ -314,6 +329,7 @@ def diagnostic_loss_curves(
     loss = StepLoss(i, traj, model, batch=batch, seed=seed)
     lo, hi = _search_bounds("interval", traj, i, model.schedule.t_eps)
     grid = np.linspace(lo, hi, n_grid)
-    consistency = np.array([loss((g,)).value for g in grid])
-    denoising = np.array([loss.denoising((g,)).value for g in grid])
+    pairs = [loss.both((g,)) for g in grid]
+    consistency = np.array([c.value for c, _ in pairs])
+    denoising = np.array([d.value for _, d in pairs])
     return {"tau_grid": grid, "consistency": consistency, "denoising": denoising}

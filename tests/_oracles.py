@@ -1,7 +1,7 @@
 """Independent reference computations used by the tests.
 
 Everything here is deliberately written from first principles (quadrature,
-quadratic-formula inversions, explicit per-sample RNG reconstruction) so
+quadratic-formula inversions, explicit per-row RNG reconstruction) so
 that test expectations never come from the code under test.
 """
 
@@ -89,20 +89,28 @@ def dense_multistep_product(schedule, K: int, t_min: float = 0.0) -> float:
 
 
 def reconstruct_tune_batch(model, batch: int, seed: int, step: int):
-    """Replay the documented per-sample seed contract for a tuning batch.
+    """Replay the documented block seed contract for a tuning batch.
 
-    Sample j derives from (seed, tune-purpose, step, j) with frozen draw
-    order: component choice, then x0, then eps.
+    Rows come in blocks of 256; block b derives from (seed, tune-purpose,
+    step, b) and draws, in frozen order, 256 uniforms (row r's component is
+    the number of weight-CDF entries at or below uniform r, capped at k - 1)
+    and then 256 * 2 * D normals: row r's data noise, then its eps.
     """
     D = model.dim
     k = len(model.weights)
+    cdf = np.cumsum(model.weights)
     x0 = np.empty((batch, D))
     eps = np.empty((batch, D))
     for j in range(batch):
-        rng = derive_rng(seed, PURPOSE_TUNE, step, j)
-        comp = rng.choice(k, p=model.weights)
-        x0[j] = model.means[comp] + model.scales[comp] * rng.standard_normal(D)
-        eps[j] = rng.standard_normal(D)
+        b, r = divmod(j, 256)
+        if r == 0:
+            rng = derive_rng(seed, PURPOSE_TUNE, step, b)
+            u = rng.random(256)
+            z = rng.standard_normal(256 * 2 * D)
+        comp = min(int(np.sum(cdf <= u[r])), k - 1)
+        row = z[2 * D * r : 2 * D * (r + 1)]
+        x0[j] = model.means[comp] + model.scales[comp] * row[:D]
+        eps[j] = row[D:]
     return x0, eps
 
 

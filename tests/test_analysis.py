@@ -240,7 +240,7 @@ def test_sliced_wasserstein_shift_in_one_dimension():
 def test_sliced_wasserstein_matches_manual_projection(gmm8_model):
     a = gmm8_model.sample_data(600, 7)
     b = gmm8_model.sample_data(512, 8)
-    rng = derive_rng(11, PURPOSE_PROJ)
+    rng = derive_rng(11, PURPOSE_PROJ, 0, 0)
     dirs = rng.standard_normal((64, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     m = 600

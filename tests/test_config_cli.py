@@ -142,10 +142,13 @@ _PARITY_ROWS = [
     ("tuner", "refine_tol", 0.0),
     ("tuner", "seed", -1),
     ("tuner", "seed", 5),
+    ("tuner", "seed", 2**32),
     ("seeds", "sample", -1),
     ("seeds", "data", -1),
     ("seeds", "eval", -2),
     ("seeds", "eval", 3),
+    ("seeds", "sample", 2**32),
+    ("seeds", "data", 2**32 - 1),
 ]
 
 
@@ -368,8 +371,9 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys):
     cfg = _small_cfg(tmp_path)
     assert cli.main(["sample", "--config", cfg, "--n", "-1"]) == 2
     assert cli.main(["sample", "--config", cfg, "--workers", "0"]) == 2
-    assert cli.main(["sample", "--config", cfg, "--seed", "-5"]) == 2
-    assert "--seed" in capsys.readouterr().err
+    for seed in ("-5", str(2**32 - 2)):  # the data and eval seeds are seed + 1, + 2
+        assert cli.main(["sample", "--config", cfg, "--seed", seed]) == 2
+        assert "--seed" in capsys.readouterr().err
     assert cli.main(["gap", "--config", cfg, "--n", "0"]) == 2
     assert "--n" in capsys.readouterr().err
     tuned = tmp_path / "tuned.json"

@@ -189,20 +189,27 @@ def test_sample_data_deterministic_and_worker_independent(gmm8_model):
 
 
 def test_draw_replays_frozen_row_order(gmm8_model):
-    # row j: component, data noise, then the extra normals, one call each
-    x0, normals = gmm8_model.draw(50, (7, 3), extra=2)
-    assert normals.shape == (2, 50, 2)
-    for j in (0, 31, 49):
-        rng = derive_rng(7, 3, j)
-        comp = rng.choice(8, p=gmm8_model.weights)
-        z = rng.standard_normal(2)
-        assert np.array_equal(x0[j], gmm8_model.means[comp] + gmm8_model.scales[comp] * z)
+    # block b of 256 rows: 256 uniforms for the components, then per row the
+    # data noise and the extra normals, all from the generator keyed (*key, b)
+    x0, normals = gmm8_model.draw(300, (7, 3, 2), extra=2)
+    assert normals.shape == (2, 300, 2)
+    cdf = np.cumsum(gmm8_model.weights)
+    for j in (0, 31, 255, 256, 299):
+        b, r = divmod(j, 256)
+        rng = derive_rng(7, 3, 2, b)
+        u = rng.random(256)
+        z = rng.standard_normal(256 * 3 * 2).reshape(256, 3, 2)
+        comp = min(int(np.sum(cdf <= u[r])), 7)
+        assert np.array_equal(x0[j], gmm8_model.means[comp] + gmm8_model.scales[comp] * z[r, 0])
         for m in range(2):
-            assert np.array_equal(normals[m, j], rng.standard_normal(2))
+            assert np.array_equal(normals[m, j], z[r, 1 + m])
     data = gmm8_model.sample_data(50, seed=7)
-    assert np.array_equal(data, gmm8_model.draw(50, (7, PURPOSE_DATA))[0])
+    assert np.array_equal(data, gmm8_model.draw(50, (7, PURPOSE_DATA, 0))[0])
     with pytest.raises(DomainError):
-        gmm8_model.draw(-1, (0,))
+        gmm8_model.draw(-1, (0, 1, 0))
+    for key in [(0, 1), (0, 1, 0, 0), (2**32, 1, 0), (0, 1, -1)]:
+        with pytest.raises(DomainError):
+            gmm8_model.draw(1, key)
 
 
 def test_validation_errors(schedule):

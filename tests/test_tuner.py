@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _oracles import reconstruct_tune_batch, step_coefficient, t_of_sigma
 from steptuner import (
     DomainError,
+    GaussianMixtureOracle,
     NumericError,
     SamplerConfig,
     StepLoss,
@@ -354,3 +355,23 @@ def test_consistency_and_denoising_argmin_agree_large_batch(gmm8_model, schedule
         ja = int(np.argmin(curves["consistency"]))
         jb = int(np.argmin(curves["denoising"]))
         assert abs(ja - jb) <= 1
+
+
+def test_diagnostic_curves_score_each_grid_point_once(gmm8_model, schedule, monkeypatch):
+    # both curves come from one step and one prediction per grid point, and
+    # equal the two separate loss calls bitwise
+    traj = make_trajectory("quadratic", 10, schedule)
+    calls = []
+    real = GaussianMixtureOracle.epsilon
+
+    def counting(model, x, t):
+        calls.append(t)
+        return real(model, x, t)
+
+    monkeypatch.setattr(GaussianMixtureOracle, "epsilon", counting)
+    curves = diagnostic_loss_curves(4, traj, gmm8_model, batch=300, seed=2, n_grid=11)
+    assert len(calls) == 1 + 2 * 11
+    loss = StepLoss(4, traj, gmm8_model, batch=300, seed=2)
+    for j, g in enumerate(curves["tau_grid"]):
+        assert curves["consistency"][j] == loss((g,)).value
+        assert curves["denoising"][j] == loss.denoising((g,)).value
