@@ -11,7 +11,7 @@ Frechet distance and sliced Wasserstein distance at the final state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import expm1, sqrt
 from typing import Optional
 
@@ -22,6 +22,7 @@ from .oracle import GaussianMixtureOracle
 from .rng import PURPOSE_PATHS, PURPOSE_PROJ, derive_rng
 from .samplers import SamplePath, SamplerConfig, _deterministic_part, sample_path
 from .trajectory import Trajectory, TunedTrajectory, baseline_tuned
+from .tuner import _consistency, _mean_stderr
 
 # projection directions per chunk in sliced_wasserstein
 _PROJ_CHUNK = 16
@@ -55,15 +56,7 @@ class EvalReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "frechet": self.frechet,
-            "sliced_wasserstein": self.sliced_wasserstein,
-            "mean_delta": self.mean_delta,
-            "cov_delta": self.cov_delta,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def draw_start_states(model: GaussianMixtureOracle, n: int, seed: int) -> np.ndarray:
@@ -186,9 +179,8 @@ def gap_profile(coarse: SamplePath, reference: SamplePath) -> GapReport:
     rows = []
     for i, t in enumerate(coarse.trajectory_points):
         gt = reference.state_at(_nearest(reference.trajectory_points, t))
-        g = np.linalg.norm(coarse.state_at(i) - gt, axis=1)
-        stderr = float(g.std(ddof=1) / sqrt(n_paths)) if n_paths > 1 else 0.0
-        rows.append((i, float(t), float(g.mean()), stderr, n_paths))
+        mean_gap, stderr = _mean_stderr(np.linalg.norm(coarse.state_at(i) - gt, axis=1))
+        rows.append((i, float(t), mean_gap, stderr, n_paths))
     return GapReport(rows=rows)
 
 
@@ -289,21 +281,20 @@ def step_replacement_sweep(
     Element m of the result uses tuned times at the first m steps walked
     (from t_K downward) and untuned times elsewhere; m = 0 is the baseline
     and m = K the fully tuned sampler. All m share the same start states
-    and the same fresh data draw.
+    and the same fresh data draw. The tuned path is rolled once, and hybrid
+    m is its state at t_{K-m} rolled through the untuned steps K-m..1: K +
+    K(K+1)/2 solver steps in all. A step's eta > 0 noise depends only on
+    its index, so this equals rolling each hybrid from x_T.
     """
     if tuned.base.K != traj.K:
         raise ContractError("tuned trajectory does not match the base trajectory")
     base = baseline_tuned(traj, model.schedule, sampler.kind)
     x_T = draw_start_states(model, n_samples, seed)
     data = model.sample_data(n_samples, seed + 1)
+    rolled = sample_path(x_T, tuned, sampler, model)
     reports = []
-    for m in range(traj.K + 1):
-        taus = base.taus.copy()
-        per_step = len(tuned.taus) // traj.K
-        for i in range(traj.K, traj.K - m, -1):
-            taus[per_step * (i - 1) : per_step * i] = tuned.taus_for_step(i)
-        hybrid = TunedTrajectory(base=traj, taus=taus, sampler_kind=sampler.kind)
-        path = generate_paths(x_T, hybrid, sampler, model)
+    for j in range(traj.K, -1, -1):  # hybrid m = K - j leaves the tuned path at t_j
+        path = sample_path(rolled.state_at(j), base, sampler, model, start=j)
         reports.append(evaluate_samples(path.states[-1], data, seed))
     return reports
 
@@ -320,60 +311,45 @@ def error_bound_report(
     """Per-step pathwise error and the two sums that bound it.
 
     For each step i the report carries the mean distance between the coarse
-    state entering checkpoint i-1 and the dense reference state there, the
-    accumulated square-rooted consistency losses of steps K..i, and the
-    accumulated reference prediction-continuity terms. For the standard
-    Gaussian oracle the model map is linear with slope sigma_t, so an
-    inverse-Lipschitz constant 1/sigma_{t_1} applies and the bound
-    C * (loss sum + continuity sum) is reported and checked.
+    state entering checkpoint i-1 and the dense reference state there (the
+    ``gap_profile`` row of checkpoint i-1), the accumulated square-rooted
+    consistency losses of steps K..i, and the accumulated reference
+    prediction-continuity terms. For the standard Gaussian oracle the model
+    map is linear with slope sigma_t, so an inverse-Lipschitz constant
+    1/sigma_{t_1} applies and the bound C * (loss sum + continuity sum) is
+    reported and checked.
     """
     if not sampler.deterministic:
         raise ContractError("error bound analysis requires a deterministic sampler")
     sched = model.schedule
     if tuned is None:
         tuned = baseline_tuned(traj, sched, sampler.kind)
+    pts = traj.points
     x_T = draw_start_states(model, n_paths, seed)
     coarse = generate_paths(x_T, tuned, sampler, model)
-    reference = reference_path(
-        x_T, model, dense_K, t_min=float(traj.points[0]), checkpoints=traj.points
-    )
-    K = traj.K
-    gt = [reference.state_at(_nearest(reference.trajectory_points, t)) for t in traj.points]
+    reference = reference_path(x_T, model, dense_K, t_min=float(pts[0]), checkpoints=pts)
+    gaps = gap_profile(coarse, reference).rows
+    gt = [reference.state_at(_nearest(reference.trajectory_points, t)) for t in pts]
 
-    # per-step consistency loss along the coarse rollout, conditioning at
-    # the tuned times the rollout actually used
-    root_losses = {}
-    for i in range(K, 0, -1):
-        t_from, t_to = traj.points[i], traj.points[i - 1]
-        t_cond = max(t_to, sched.t_eps)
-        state = coarse.state_at(i)
-        stepped = coarse.state_at(i - 1)
-        d = model.epsilon(stepped, t_cond) - model.epsilon(state, t_from)
-        root_losses[i] = sqrt(float(np.mean(np.sum(d * d, axis=1))))
-    continuity = {}
-    for l in range(K, 0, -1):
-        d = model.epsilon(gt[l], traj.points[l]) - model.epsilon(
-            gt[l - 1], traj.points[l - 1]
-        )
-        continuity[l] = float(np.mean(np.linalg.norm(d, axis=1)))
+    # per step l = 1..K: the consistency loss of the step the coarse rollout
+    # took (with the tuned times it used), square-rooted, and the reference
+    # prediction-continuity term
+    root_losses, continuity = [], []
+    for l in range(1, traj.K + 1):
+        target = model.epsilon(coarse.state_at(l), pts[l])
+        [(loss, _)] = _consistency(model, coarse.state_at(l - 1), pts[l - 1], target)
+        root_losses.append(sqrt(loss))
+        d = model.epsilon(gt[l], pts[l]) - model.epsilon(gt[l - 1], pts[l - 1])
+        continuity.append(float(np.mean(np.linalg.norm(d, axis=1))))
 
-    is_standard = (
-        len(model.weights) == 1
-        and np.allclose(model.means, 0.0)
-        and np.allclose(model.scales, 1.0)
-    )
-    C = None
-    if is_standard:
-        _, sigma_t1 = sched.alpha_sigma(traj.points[1])
-        C = 1.0 / sigma_t1
+    unit = np.allclose(model.means, 0) and np.allclose(model.scales, 1)
+    C = 1.0 / sched.alpha_sigma(pts[1])[1] if unit and len(model.weights) == 1 else None
 
     rows = []
-    for i in range(1, K + 1):
-        g = np.linalg.norm(coarse.state_at(i - 1) - gt[i - 1], axis=1)
-        lhs = float(g.mean())
-        lhs_stderr = float(g.std(ddof=1) / sqrt(n_paths)) if n_paths > 1 else 0.0
-        loss_sum = sum(root_losses[n] for n in range(i, K + 1))
-        cont_sum = sum(continuity[l] for l in range(i, K + 1))
+    for i in range(1, traj.K + 1):
+        _, _, lhs, lhs_stderr, _ = gaps[i - 1]
+        loss_sum = sum(root_losses[i - 1 :])
+        cont_sum = sum(continuity[i - 1 :])
         row = {
             "step": i,
             "lhs": lhs,

@@ -112,80 +112,26 @@ def _load_tuned(args, traj, schedule, sampler):
     return tuned, True
 
 
-def _out_path(args, cfg: ExperimentConfig, default_name: str) -> Path:
-    if args.out is not None:
-        path = Path(args.out)
-    else:
-        path = Path(cfg.out_dir) / default_name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_meta(path: Path, command: str, cfg: ExperimentConfig, args, outputs) -> None:
-    meta = {
-        "tool": "steptuner",
-        "version": __version__,
-        "command": command,
-        "config": cfg.to_dict(),
-        "overrides": {
-            "seed": args.seed,
-            "n": args.n,
-            "workers": args.workers,
-            "tuned": args.tuned,
-        },
-        "outputs": [str(p) for p in outputs],
-    }
-    sidecar = path.with_name(path.name + ".meta.json")
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
-def _records_csv(records) -> str:
+def cmd_tune(args, cfg, schedule, model, traj, sampler) -> list:
+    tuned, records = run_tune(cfg.tuner, traj, sampler, model)
     lines = ["i,t_i,tau_i,loss_baseline,loss_tuned,stderr,boundary_flag"]
     for r in records:
         lines.append(
             f"{r.step},{r.t_site!r},{r.tau!r},{r.loss_baseline!r},"
             f"{r.loss_tuned!r},{r.stderr!r},{int(r.boundary)}"
         )
-    return "\n".join(lines) + "\n"
+    csv = "\n".join(lines) + "\n"
+    return [("tuned.json", tuned_to_json(tuned, schedule)), ("tuned.csv", csv)]
 
 
-def _matrix_csv(x: np.ndarray) -> str:
-    rows = [",".join(repr(float(v)) for v in row) for row in np.atleast_2d(x)]
-    return ("\n".join(rows) + "\n") if rows else ""
-
-
-def cmd_tune(args) -> int:
-    cfg = _load(args)
-    schedule, model, traj, sampler = cfg.build()
-    tuned, records = run_tune(cfg.tuner, traj, sampler, model)
-    out = _out_path(args, cfg, "tuned.json")
-    out.write_text(tuned_to_json(tuned, schedule))
-    csv_path = out.with_suffix(".csv")
-    csv_path.write_text(_records_csv(records))
-    _write_meta(out, "tune", cfg, args, [out, csv_path])
-    print(f"wrote {out} and {csv_path}")
-    return 0
-
-
-def cmd_sample(args) -> int:
-    cfg = _load(args)
-    schedule, model, traj, sampler = cfg.build()
+def cmd_sample(args, cfg, schedule, model, traj, sampler) -> list:
     tuned, _ = _load_tuned(args, traj, schedule, sampler)
-    out = _out_path(args, cfg, "samples.csv")
-    if args.n == 0:
-        out.write_text("")
-    else:
-        x_T = draw_start_states(model, args.n, cfg.seeds.sample)
-        path = generate_paths(x_T, tuned, sampler, model)
-        out.write_text(_matrix_csv(path.states[-1]))
-    _write_meta(out, "sample", cfg, args, [out])
-    print(f"wrote {out}")
-    return 0
+    x_T = draw_start_states(model, args.n, cfg.seeds.sample)
+    rows = generate_paths(x_T, tuned, sampler, model).states[-1].tolist()
+    return [("samples.csv", "".join(",".join(map(repr, r)) + "\n" for r in rows))]
 
 
-def cmd_gap(args) -> int:
-    cfg = _load(args)
-    schedule, model, traj, sampler = cfg.build()
+def cmd_gap(args, cfg, schedule, model, traj, sampler) -> list:
     tuned, _ = _load_tuned(args, traj, schedule, sampler)
     _require_n(args, 1)
     x_T = draw_start_states(model, args.n, cfg.seeds.sample)
@@ -194,17 +140,10 @@ def cmd_gap(args) -> int:
         x_T, model, _DENSE_K, t_min=float(traj.points[0]),
         checkpoints=coarse.trajectory_points,
     )
-    report = gap_profile(coarse, reference)
-    out = _out_path(args, cfg, "gap.csv")
-    out.write_text(report.to_csv())
-    _write_meta(out, "gap", cfg, args, [out])
-    print(f"wrote {out}")
-    return 0
+    return [("gap.csv", gap_profile(coarse, reference).to_csv())]
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    schedule, model, traj, sampler = cfg.build()
+def cmd_sweep(args, cfg, schedule, model, traj, sampler) -> list:
     if args.tuned is None:
         raise ConfigError("sweep requires --tuned")
     tuned, _ = _load_tuned(args, traj, schedule, sampler)
@@ -212,19 +151,11 @@ def cmd_sweep(args) -> int:
     reports = step_replacement_sweep(
         traj, tuned, sampler, model, args.n, seed=cfg.seeds.sample
     )
-    lines = ["m,fd,swd"]
-    for m, rep in enumerate(reports):
-        lines.append(f"{m},{rep.frechet!r},{rep.sliced_wasserstein!r}")
-    out = _out_path(args, cfg, "sweep.csv")
-    out.write_text("\n".join(lines) + "\n")
-    _write_meta(out, "sweep", cfg, args, [out])
-    print(f"wrote {out}")
-    return 0
+    rows = [f"{m},{r.frechet!r},{r.sliced_wasserstein!r}" for m, r in enumerate(reports)]
+    return [("sweep.csv", "\n".join(["m,fd,swd"] + rows) + "\n")]
 
 
-def cmd_eval(args) -> int:
-    cfg = _load(args)
-    schedule, model, traj, sampler = cfg.build()
+def cmd_eval(args, cfg, schedule, model, traj, sampler) -> list:
     tuned, is_tuned = _load_tuned(args, traj, schedule, sampler)
     _require_n(args, model.dim + 1)
     x_T = draw_start_states(model, args.n, cfg.seeds.sample)
@@ -232,10 +163,40 @@ def cmd_eval(args) -> int:
     data = model.sample_data(args.n, cfg.seeds.data)
     report = evaluate_samples(path.states[-1], data, seed=cfg.seeds.eval)
     doc = dict(report.to_dict(), tuned=is_tuned)
-    out = _out_path(args, cfg, "eval.json")
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_meta(out, "eval", cfg, args, [out])
-    print(f"wrote {out}")
+    return [("eval.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")]
+
+
+def _run(args) -> int:
+    """Load and build the config, run the command, write its outputs.
+
+    A command returns its (default name, text) outputs. The first goes to
+    --out, or under its default name to the config's out_dir; each further
+    one goes next to it with its own suffix. The ``.meta.json`` sidecar,
+    which echoes the settings used, sits by the first.
+    """
+    cfg = _load(args)
+    outputs = _COMMANDS[args.command](args, cfg, *cfg.build())
+    first = Path(args.out) if args.out is not None else Path(cfg.out_dir) / outputs[0][0]
+    paths = [first] + [first.with_suffix(Path(name).suffix) for name, _ in outputs[1:]]
+    first.parent.mkdir(parents=True, exist_ok=True)
+    for path, (_, text) in zip(paths, outputs):
+        path.write_text(text)
+    meta = {
+        "tool": "steptuner",
+        "version": __version__,
+        "command": args.command,
+        "config": cfg.to_dict(),
+        "overrides": {
+            "seed": args.seed,
+            "n": args.n,
+            "workers": args.workers,
+            "tuned": args.tuned,
+        },
+        "outputs": [str(p) for p in paths],
+    }
+    sidecar = first.with_name(first.name + ".meta.json")
+    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    print("wrote " + " and ".join(map(str, paths)))
     return 0
 
 
@@ -252,7 +213,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _run(args)
     except StepTunerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

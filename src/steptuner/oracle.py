@@ -28,7 +28,10 @@ def _as_floats(name: str, value) -> np.ndarray:
         raise DomainError(f"{name}: expected a rectangular array of numbers") from exc
     if arr.dtype.kind not in "iuf":
         raise DomainError(f"{name}: expected numbers, got {value!r}")
-    return np.asarray(arr, dtype=float)
+    arr = np.asarray(arr, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name}: must be finite, got {value!r}")
+    return arr
 
 
 @dataclass(frozen=True)

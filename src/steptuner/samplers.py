@@ -56,9 +56,12 @@ class SamplePath:
         return self.states[K - i]
 
 
-def _check_interval(t_from: float, t_to: float) -> None:
+def _check_step(t_from: float, t_to: float, T: float, *taus: float) -> None:
     if not (t_to < t_from):
         raise DomainError(f"step requires t_to < t_from, got {t_to} >= {t_from}")
+    for tau in taus:
+        if not (0.0 < tau <= T):
+            raise DomainError(f"conditioning time must lie in (0, T], got {tau}")
 
 
 def _deterministic_part(x, a_from, s_from, a_to, s_to_eff, eps_hat):
@@ -83,10 +86,8 @@ def ddim_step(
     noise: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One eta-family step from t_from to t_to, conditioning the model at tau."""
-    _check_interval(t_from, t_to)
     sched = model.schedule
-    if not (0.0 < tau <= sched.T):
-        raise DomainError(f"conditioning time must lie in (0, T], got {tau}")
+    _check_step(t_from, t_to, sched.T, tau)
     if eta > 0.0 and noise is None:
         raise ContractError("eta > 0 requires a noise array")
     a_from, s_from = sched.alpha_sigma(t_from)
@@ -124,15 +125,12 @@ def dpm_solver2_step(
     Baseline conditioning is tau_a = t_from and tau_b = the midpoint time;
     tuning replaces only those two arguments, never the coefficients.
     """
-    _check_interval(t_from, t_to)
     sched = model.schedule
+    _check_step(t_from, t_to, sched.T, tau_a, tau_b)
     if t_to < sched.t_eps:
         raise DomainError(
             f"two-evaluation step needs t_to >= {sched.t_eps} for log-SNR, got {t_to}"
         )
-    for tau in (tau_a, tau_b):
-        if not (0.0 < tau <= sched.T):
-            raise DomainError(f"conditioning time must lie in (0, T], got {tau}")
     lam_from = sched.log_snr(t_from)
     lam_to = sched.log_snr(t_to)
     h = lam_to - lam_from
@@ -169,8 +167,12 @@ def sample_path(
     tuned: TunedTrajectory,
     sampler: SamplerConfig,
     model: GaussianMixtureOracle,
+    start: Optional[int] = None,
 ) -> SamplePath:
     """Roll a batch of states from t_K down to t_0, recording every stop.
+
+    With start = j, x_T is the state at t_j and only steps j..1 are
+    rolled, so the path holds the j + 1 stops from t_j down.
 
     For stochastic sampling the noise of step i comes in blocks of
     ``BLOCK`` rows: the rows of block b are one ``standard_normal`` call
@@ -186,8 +188,10 @@ def sample_path(
     x = np.atleast_2d(np.asarray(x_T, dtype=float))
     if not np.all(np.isfinite(x)):
         raise DomainError("x_T must be finite")
-    pts = tuned.base.points
-    K = tuned.base.K
+    K = tuned.base.K if start is None else start
+    if not (0 <= K <= tuned.base.K):
+        raise DomainError(f"start must lie in [0, {tuned.base.K}], got {start}")
+    pts = tuned.base.points[: K + 1]
     states = np.empty((K + 1,) + x.shape)
     states[0] = x
     for i in range(K, 0, -1):

@@ -44,12 +44,14 @@ class NoiseSchedule:
     def __post_init__(self) -> None:
         if self.kind != "linear-vp":
             raise DomainError(f"kind: unknown schedule kind {self.kind!r}")
-        if not (0 < self.beta_min):
-            raise DomainError(f"beta_min: must be positive, got {self.beta_min}")
-        if not (self.beta_min <= self.beta_max):
-            raise DomainError(f"beta_max: must be >= beta_min, got {self.beta_max}")
-        if not (self.T > 0):
-            raise DomainError(f"T: must be positive, got {self.T}")
+        if not (0 < self.beta_min < np.inf):
+            raise DomainError(f"beta_min: must be positive and finite, got {self.beta_min}")
+        if not (self.beta_min <= self.beta_max < np.inf):
+            raise DomainError(
+                f"beta_max: must be finite and >= beta_min, got {self.beta_max}"
+            )
+        if not (0 < self.T < np.inf):
+            raise DomainError(f"T: must be positive and finite, got {self.T}")
 
     @property
     def t_eps(self) -> float:

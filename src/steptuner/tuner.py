@@ -89,6 +89,30 @@ class TuneRecord:
     boundary: bool
 
 
+def _mean_stderr(per_row: np.ndarray) -> tuple:
+    """Mean of per-row values and its standard error (0 for a single row)."""
+    n = len(per_row)
+    stderr = float(per_row.std(ddof=1) / sqrt(n)) if n > 1 else 0.0
+    return float(per_row.mean()), stderr
+
+
+def _consistency(
+    model: GaussianMixtureOracle, y: np.ndarray, t_to: float, *targets: np.ndarray
+) -> list:
+    """(mean, stderr) of the squared distance from the model's prediction at
+    the stepped state y to each target; one model call serves every target.
+
+    The prediction is conditioned at t_to, or at t_eps below it: when the
+    destination is t = 0 the model output is identically zero there.
+    """
+    pred = model.epsilon(y, max(t_to, model.schedule.t_eps))
+    out = []
+    for target in targets:
+        d = pred - target
+        out.append(_mean_stderr(np.sum(d * d, axis=1)))
+    return out
+
+
 class StepLoss:
     """Consistency loss of step i on one frozen batch, called per candidate.
 
@@ -127,9 +151,6 @@ class StepLoss:
         self.t_from = pts[i]
         self.t_to = pts[i - 1]
         sched = model.schedule
-        # when the destination is t = 0 the model output is identically
-        # zero there, so the consistency target is evaluated at t_eps
-        self.t_cond = max(self.t_to, sched.t_eps)
         needs_noise = not sampler.deterministic
         n_noise = (len(prefix) + 1) if needs_noise else 0
         x0, normals = model.draw(batch, (seed, PURPOSE_TUNE, i), extra=1 + n_noise)
@@ -146,23 +167,13 @@ class StepLoss:
         self.batch = batch
 
     def _score(self, taus: Sequence[float], *targets: np.ndarray) -> list:
-        """Mean squared distance of the stepped state's prediction to each target.
-
-        One step and one model call serve every target.
-        """
+        """Consistency estimate of each target from one step and one model call."""
         y = step(
             self.state, self.t_from, self.t_to, taus, self.model, self.sampler,
             self.step_noise,
         )
-        pred = self.model.epsilon(y, self.t_cond)
         estimates = []
-        for target in targets:
-            d = pred - target
-            per_sample = np.sum(d * d, axis=1)
-            value = float(per_sample.mean())
-            stderr = (
-                float(per_sample.std(ddof=1) / sqrt(self.batch)) if self.batch > 1 else 0.0
-            )
+        for value, stderr in _consistency(self.model, y, self.t_to, *targets):
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at conditioning times {taus}")
             estimates.append(LossEstimate(value=value, stderr=stderr, batch=self.batch))

@@ -150,3 +150,63 @@ def mixture_posterior(model, x: np.ndarray, t: float) -> dict:
         "log_density": (m + np.log(total))[:, 0],
         "responsibilities": g,
     }
+
+
+def error_bound_rows(coarse, reference, traj, model) -> list:
+    """Rows of the pathwise error-bound report from their defining formulas.
+
+    coarse is the few-step rollout and reference the dense one, both from
+    the same x_T. Row i (steps 1..K) holds:
+      lhs, lhs_stderr - mean and standard error over paths of the distance
+        from the coarse state at t_{i-1} to the reference state whose time
+        is nearest t_{i-1};
+      loss_sum - over steps n = i..K, the square root of the mean of
+        ||eps(x_{n-1}, max(t_{n-1}, t_eps)) - eps(x_n, t_n)||^2 along the
+        coarse rollout;
+      continuity_sum - over l = i..K, the mean of
+        ||eps(r_l, t_l) - eps(r_{l-1}, t_{l-1})|| along the reference;
+      for the unit Gaussian, C = 1 / sigma_{t_1}, the bound
+        C * (loss_sum + continuity_sum) and whether lhs is within 3
+        standard errors below it.
+    """
+    sched = model.schedule
+    pts = traj.points
+    K = traj.K
+    n = coarse.states.shape[1]
+
+    def coarse_at(i):
+        return coarse.states[K - i]
+
+    def ref_at(t):
+        j = int(np.argmin(np.abs(reference.trajectory_points - t)))
+        return reference.states[len(reference.trajectory_points) - 1 - j]
+
+    root_losses, continuity = {}, {}
+    for i in range(K, 0, -1):
+        d = model.epsilon(coarse_at(i - 1), max(pts[i - 1], sched.t_eps)) - model.epsilon(
+            coarse_at(i), pts[i]
+        )
+        root_losses[i] = sqrt(float(np.mean(np.sum(d * d, axis=1))))
+        d = model.epsilon(ref_at(pts[i]), pts[i]) - model.epsilon(
+            ref_at(pts[i - 1]), pts[i - 1]
+        )
+        continuity[i] = float(np.mean(np.linalg.norm(d, axis=1)))
+    C = None
+    if len(model.weights) == 1 and np.all(model.means == 0) and np.all(model.scales == 1):
+        C = 1.0 / sched.alpha_sigma(pts[1])[1]
+    rows = []
+    for i in range(1, K + 1):
+        g = np.linalg.norm(coarse_at(i - 1) - ref_at(pts[i - 1]), axis=1)
+        row = {
+            "step": i,
+            "lhs": float(g.mean()),
+            "lhs_stderr": float(g.std(ddof=1) / sqrt(n)) if n > 1 else 0.0,
+            "loss_sum": sum(root_losses[m] for m in range(i, K + 1)),
+            "continuity_sum": sum(continuity[m] for m in range(i, K + 1)),
+            "lipschitz_C": C,
+        }
+        if C is not None:
+            row["bound"] = C * (row["loss_sum"] + row["continuity_sum"])
+            row["holds"] = row["lhs"] <= row["bound"] + 3.0 * row["lhs_stderr"]
+        rows.append(row)
+    return rows

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _oracles import dense_coefficient_product, dense_multistep_product
+from _oracles import dense_coefficient_product, dense_multistep_product, error_bound_rows
 from steptuner import (
     ContractError,
     DomainError,
     SamplerConfig,
+    TunedTrajectory,
     TunerConfig,
     baseline_tuned,
     make_trajectory,
+    sample_path,
+    samplers,
     tune,
 )
 from steptuner.analysis import (
@@ -27,6 +30,7 @@ from steptuner.analysis import (
     sliced_wasserstein,
     step_replacement_sweep,
 )
+from steptuner.oracle import make_oracle
 from steptuner.rng import PURPOSE_PROJ, derive_rng
 
 
@@ -292,6 +296,48 @@ def test_step_replacement_sweep_endpoints(gmm8_model, schedule):
     assert reports[-1].frechet == eK.frechet
 
 
+@pytest.mark.parametrize(
+    "kind,eta,t_min",
+    [("ddim-family", 0.0, 0.0), ("ddim-family", 0.7, 0.0), ("dpm-solver-2", 0.0, 1.0)],
+)
+def test_step_replacement_sweep_equals_hybrids_rolled_from_x_T(
+    gmm8_model, schedule, monkeypatch, kind, eta, t_min
+):
+    K, n = 4, 300
+    traj = make_trajectory("quadratic", K, schedule, t_min=t_min)
+    sampler = SamplerConfig(kind=kind, eta=eta, seed=3)
+    cfg = TunerConfig(batch=256, coarse_grid=9, refine_tol=0.5, seed=0)
+    tuned, _ = tune(cfg, traj, sampler, gmm8_model)
+    base = baseline_tuned(traj, schedule, kind)
+    assert not np.array_equal(tuned.taus, base.taus)
+
+    steps = []
+    real_step = samplers.step
+
+    def counting_step(*args, **kwargs):
+        steps.append(args[1])
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(samplers, "step", counting_step)
+    reports = step_replacement_sweep(traj, tuned, sampler, gmm8_model, n, seed=5)
+    monkeypatch.undo()
+    assert len(steps) == K + K * (K + 1) // 2
+
+    # hybrid m as a tuned trajectory of its own, rolled from x_T
+    x_T = draw_start_states(gmm8_model, n, 5)
+    data = gmm8_model.sample_data(n, 6)
+    per_step = len(tuned.taus) // K
+    finals = []
+    for m, report in enumerate(reports):
+        taus = base.taus.copy()
+        for i in range(K, K - m, -1):
+            taus[per_step * (i - 1) : per_step * i] = tuned.taus_for_step(i)
+        hybrid = TunedTrajectory(base=traj, taus=taus, sampler_kind=kind)
+        finals.append(sample_path(x_T, hybrid, sampler, gmm8_model).states[-1])
+        assert report == evaluate_samples(finals[-1], data, 5), m
+    assert len({f.tobytes() for f in finals}) > 2
+
+
 def test_step_replacement_sweep_checks_trajectory(gmm8_model, schedule):
     traj = make_trajectory("quadratic", 3, schedule)
     other = make_trajectory("quadratic", 4, schedule)
@@ -322,6 +368,21 @@ def test_error_bound_mixture_has_no_constant(gmm8_model, schedule):
         assert "bound" not in r
         assert r["lhs"] >= 0.0
         assert r["loss_sum"] >= 0.0
+
+
+@pytest.mark.parametrize("preset,K,dense_K", [("standard", 10, 1000), ("gmm8", 4, 200)])
+def test_error_bound_report_matches_its_formulas(schedule, preset, K, dense_K):
+    model = make_oracle(preset, schedule)
+    traj = make_trajectory("quadratic", K, schedule)
+    tuned = None
+    if preset == "gmm8":  # also cover a rollout at tuned times
+        cfg = TunerConfig(batch=256, coarse_grid=9, refine_tol=0.5, seed=0)
+        tuned, _ = tune(cfg, traj, SamplerConfig(), model)
+    rows = error_bound_report(traj, tuned, SamplerConfig(), model, 256, seed=4, dense_K=dense_K)
+    x_T = draw_start_states(model, 256, 4)
+    coarse = generate_paths(x_T, tuned or baseline_tuned(traj, schedule), SamplerConfig(), model)
+    reference = reference_path(x_T, model, dense_K, checkpoints=traj.points)
+    assert rows == error_bound_rows(coarse, reference, traj, model)
 
 
 def test_error_bound_requires_deterministic_sampler(standard_model, schedule):

@@ -1,6 +1,7 @@
 """Config parsing and the command line driver, run in process."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,17 @@ def test_preset_configs_build():
 # One row per (block, field, value): the library constructor and the config
 # parser must agree on accept/reject, and a config rejection names the field.
 _MIXTURE = {"means": [[0.0, 0.0], [1.0, 1.0]], "scales": [1.0, 0.5], "weights": [0.5, 0.5]}
+# JSON readers accept Infinity and NaN literals; both sides must reject them
+_NON_FINITE_ROWS = [
+    ("schedule", "T", math.inf),
+    ("schedule", "beta_min", math.inf),
+    ("schedule", "beta_max", math.inf),
+    ("oracle", "means", [[math.nan, 0.0], [1.0, 1.0]]),
+    ("oracle", "means", [[0.0, 0.0], [1.0, -math.inf]]),
+    ("oracle", "scales", [1.0, math.nan]),
+    ("oracle", "scales", [math.inf, 0.5]),
+    ("oracle", "weights", [0.5, math.nan]),
+]
 _PARITY_ROWS = [
     ("schedule", "beta_max", 1e-4),  # beta_min == beta_max
     ("schedule", "beta_max", 1e-5),
@@ -149,7 +161,7 @@ _PARITY_ROWS = [
     ("seeds", "eval", 3),
     ("seeds", "sample", 2**32),
     ("seeds", "data", 2**32 - 1),
-]
+] + _NON_FINITE_ROWS
 
 
 def _library_accepts(block: str, name: str, value) -> bool:
@@ -191,6 +203,17 @@ def test_config_and_library_accept_the_same_values():
         ):
             mismatches.append((block, name, value, library_accepts, message))
     assert mismatches == []
+
+
+@pytest.mark.parametrize("block,name,value", _NON_FINITE_ROWS)
+def test_cli_non_finite_values_exit_2_with_field_path(tmp_path, capsys, block, name, value):
+    assert not _library_accepts(block, name, value)
+    section = dict(_MIXTURE) if block == "oracle" else {}
+    section[name] = value
+    cfg = _small_cfg(tmp_path, **{block: section})
+    assert "Infinity" in Path(cfg).read_text() or "NaN" in Path(cfg).read_text()
+    assert cli.main(["sample", "--config", cfg, "--n", "4"]) == 2
+    assert f"error: {block}.{name}: must be" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------------ cli

@@ -191,6 +191,14 @@ def test_rollout_deterministic(gmm8_model, schedule, rng):
     assert np.array_equal(p1.states, p2.states)
     p3 = sample_path(x_T, tuned, SamplerConfig(eta=0.8, seed=6), gmm8_model)
     assert not np.array_equal(p1.states, p3.states)
+    # a path started at t_j is the tail of the full one, noise included
+    for j in range(5):
+        tail = sample_path(p1.state_at(j), tuned, cfg, gmm8_model, start=j)
+        assert np.array_equal(tail.states, p1.states[4 - j :])
+        assert np.array_equal(tail.trajectory_points, traj.points[: j + 1])
+    for start in (-1, 5):
+        with pytest.raises(DomainError):
+            sample_path(x_T, tuned, cfg, gmm8_model, start=start)
 
 
 def test_dpm2_rollout_two_sites(standard_model, schedule, rng):
