@@ -20,6 +20,10 @@ from .errors import DomainError
 from .rng import BLOCK, PURPOSE_DATA, per_sample_map
 from .schedule import NoiseSchedule
 
+# Log weights minus their maximum are floored here before exp. That keeps exp off slow
+# subnormal results; a weight under 1e-304 of the largest (1) cannot move their sum.
+_LOG_FLOOR = -700.0
+
 
 def _as_floats(name: str, value) -> np.ndarray:
     try:
@@ -64,63 +68,63 @@ class GaussianMixtureOracle:
         return self.means.shape[1]
 
     def _log_weighted_densities(self, x: np.ndarray, t: float) -> tuple:
-        """x as (n, D), the (n, k) log(w_k N(x; alpha mu_k, v_k I)), alpha mu and v.
+        """x as (n, D), the (k, n) log(w_k N(x; alpha mu_k, v_k I)), alpha mu, v, sigma.
 
-        The squared distances use the expansion
-        ||x - a mu_k||^2 = ||x||^2 - 2 x . a mu_k + ||a mu_k||^2 with one
-        matrix product, so no (n, k, D) difference tensor is formed.
+        Component-major, so reductions over components run along contiguous rows, and
+        ||x - a mu_k||^2 = ||x||^2 - 2 a mu_k . x + ||a mu_k||^2 needs no (n, k, D) tensor.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if not np.all(np.isfinite(x)):
             raise DomainError("oracle evaluated at non-finite point")
         alpha, sigma = self.schedule.alpha_sigma(t)
-        v = alpha * alpha * self.scales**2 + sigma * sigma  # (k,)
+        v = (alpha * alpha * self.scales**2 + sigma * sigma)[:, None]  # (k, 1)
         am = alpha * self.means  # (k, D)
-        logn = x @ am.T  # (n, k)
-        logn *= -2.0
-        logn += np.sum(x * x, axis=1)[:, None]
-        logn += np.sum(am * am, axis=1)
+        logn = (-2.0 * am) @ x.T  # (k, n); scaling by -2 is exact
+        logn += np.einsum("nd,nd->n", x, x)
+        logn += np.einsum("kd,kd->k", am, am)[:, None]
         logn *= -0.5 / v
-        logn += np.log(self.weights) - 0.5 * self.dim * np.log(2.0 * np.pi * v)
-        return x, logn, am, v
+        logn += np.log(self.weights)[:, None] - 0.5 * self.dim * np.log(2.0 * np.pi * v)
+        return x, logn, am, v, sigma
 
     @staticmethod
-    def _normalise(logn: np.ndarray) -> np.ndarray:
-        """Posterior probabilities from log weights, computed in place."""
-        logn -= logn.max(axis=1, keepdims=True)
+    def _normalise(logn: np.ndarray) -> tuple:
+        """Posterior probabilities from (k, n) log weights, in place; also their max and sum."""
+        m = logn.max(axis=0)
+        logn -= m
+        np.maximum(logn, _LOG_FLOOR, out=logn)
         np.exp(logn, out=logn)
-        logn /= logn.sum(axis=1, keepdims=True)
-        return logn
+        total = logn.sum(axis=0)
+        logn /= total
+        return logn, m, total
 
     def responsibilities(self, x: np.ndarray, t: float) -> np.ndarray:
         """(n, k) posterior component probabilities, stable in log space."""
-        return self._normalise(self._log_weighted_densities(x, t)[1])
+        return self._normalise(self._log_weighted_densities(x, t)[1])[0].T
 
     def log_density(self, x: np.ndarray, t: float) -> np.ndarray:
         """log q_t(x) via log-sum-exp over components."""
         squeeze = np.asarray(x).ndim == 1
-        logn = self._log_weighted_densities(x, t)[1]
-        m = logn.max(axis=1, keepdims=True)
-        out = (m + np.log(np.exp(logn - m).sum(axis=1, keepdims=True)))[:, 0]
+        _, m, total = self._normalise(self._log_weighted_densities(x, t)[1])
+        out = m + np.log(total)
         return float(out[0]) if squeeze else out
 
-    def score(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Gradient of log q_t at x: responsibility-weighted Gaussian pulls.
-
-        sum_k g_k (a mu_k - x) / v_k = (g / v) @ (a mu) - x * sum_k g_k / v_k.
-        """
+    def _score_sigma(self, x: np.ndarray, t: float) -> tuple:
+        """(score, sigma_t): sum_k g_k (a mu_k - x) / v_k = (g / v)^T @ a mu - x sum_k g_k / v_k."""
         squeeze = np.asarray(x).ndim == 1
-        x, logn, am, v = self._log_weighted_densities(x, t)
-        gv = self._normalise(logn)
+        x, logn, am, v, sigma = self._log_weighted_densities(x, t)
+        gv = self._normalise(logn)[0]
         gv /= v
-        out = gv @ am
-        out -= x * gv.sum(axis=1, keepdims=True)
-        return out[0] if squeeze else out
+        out = gv.T @ am
+        out -= x * gv.sum(axis=0)[:, None]
+        return (out[0] if squeeze else out), sigma
+
+    def score(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Gradient of log q_t at x: responsibility-weighted Gaussian pulls."""
+        return self._score_sigma(x, t)[0]
 
     def epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
         """Ideal noise prediction: -sigma_t times the score at (x, t)."""
-        _, sigma = self.schedule.alpha_sigma(t)
-        out = self.score(x, t)
+        out, sigma = self._score_sigma(x, t)
         out *= -sigma
         return out
 

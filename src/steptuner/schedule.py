@@ -17,6 +17,7 @@ log alpha_t is quadratic in t, lambda is inverted in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +66,7 @@ class NoiseSchedule:
 
     def _check_t(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > self.T):
+        if not ((t >= 0) & (t <= self.T)).all():
             raise DomainError(f"t must lie in [0, {self.T}], got {t}")
         return t
 
@@ -83,7 +84,7 @@ class NoiseSchedule:
     def log_snr(self, t):
         """lambda(t) = log(alpha_t / sigma_t); requires t > 0."""
         t = self._check_t(t)
-        if np.any(t <= 0):
+        if (t <= 0).any():
             raise DomainError("log_snr is infinite at t = 0")
         la = self._log_alpha(t)
         lam = la - 0.5 * np.log(-np.expm1(2.0 * la))
@@ -99,7 +100,7 @@ class NoiseSchedule:
         c / b when beta_min == beta_max.
         """
         lam = np.asarray(lam, dtype=float)
-        lam_lo = self.log_snr(self.T)
+        lam_lo = self._log_snr_T
         if not (np.all(np.isfinite(lam)) and np.all(lam >= lam_lo)):
             raise DomainError(f"lambda {lam} outside invertible range [{lam_lo}, inf)")
         c = np.logaddexp(0.0, -2.0 * lam)
@@ -112,6 +113,10 @@ class NoiseSchedule:
         if t.ndim == 0:
             return float(t)
         return t
+
+    @cached_property
+    def _log_snr_T(self) -> float:
+        return self.log_snr(self.T)
 
     def forward_sample(self, x0: np.ndarray, t: float, eps: np.ndarray) -> np.ndarray:
         """x_t = alpha_t * x0 + sigma_t * eps for caller-supplied noise."""

@@ -116,7 +116,7 @@ def make_trajectory(
     elif kind == "log-snr":
         lam_hi = schedule.log_snr(max(t_min, schedule.t_eps))
         lam_lo = schedule.log_snr(T)
-        lams = lam_hi + (lam_lo - lam_hi) * frac
+        lams = np.maximum(lam_hi + (lam_lo - lam_hi) * frac, lam_lo)  # rounding at i = K
         pts = schedule.t_from_log_snr(lams)
         pts[0], pts[-1] = t_min, T
     else:

@@ -54,6 +54,33 @@ def test_expanded_distances_match_direct_formula(schedule, name):
                 assert rel < 1e-10, (method, t, radius, rel)
 
 
+def test_subnormal_weights_match_direct_formula(schedule):
+    # near the gmm8 modes at small t, opposite modes lie hundreds of nats
+    # below the nearest one, where exp of the shifted log weight is subnormal
+    model = gmm8(schedule)
+    rng = np.random.default_rng(5)
+    x = np.repeat(model.means, 8, axis=0) + 0.01 * rng.standard_normal((64, 2))
+    lowest = 0.0
+    for t in (schedule.t_eps, 1.0, 2.0, 3.0):
+        alpha, sigma = schedule.alpha_sigma(t)
+        v = alpha * alpha * model.scales**2 + sigma * sigma
+        diff = x[:, None, :] - alpha * model.means[None, :, :]
+        # log w_k is the same for every k and cancels in the shift; D = 2
+        logn = -0.5 * np.sum(diff * diff, axis=2) / v - np.log(2.0 * np.pi * v)
+        lowest = min(lowest, np.min(logn - logn.max(axis=1, keepdims=True)))
+        for method, want in mixture_posterior(model, x, t).items():
+            got = getattr(model, method)(x, t)
+            rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert rel < 1e-10, (method, t, rel)
+    assert lowest < -708.0
+
+
+def test_nan_time_rejected(gmm8_model):
+    for x in (np.zeros(2), np.zeros((3, 2))):
+        with pytest.raises(DomainError, match=r"t must lie in \[0, "):
+            gmm8_model.epsilon(x, np.nan)
+
+
 def test_epsilon_memory_has_no_component_dim_tensor(schedule):
     n, k, D = 20_000, 8, 16
     rng = np.random.default_rng(2)

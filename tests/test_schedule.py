@@ -141,6 +141,16 @@ def test_domain_errors(schedule):
     assert schedule.t_from_log_snr(schedule.log_snr(t)) == pytest.approx(t, rel=1e-12)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.array([500.0, np.nan])], ids=["scalar", "array"])
+@pytest.mark.parametrize("method", ["alpha_sigma", "log_snr", "forward_sample"])
+def test_nan_time_rejected(schedule, method, t):
+    # NaN fails every comparison, so a range check written as "t < 0 or
+    # t > T" lets it through and the coefficients come back NaN
+    args = (np.ones(2), t, np.ones(2)) if method == "forward_sample" else (t,)
+    with pytest.raises(DomainError, match=r"t must lie in \[0, "):
+        getattr(schedule, method)(*args)
+
+
 def test_construction_validation():
     with pytest.raises(DomainError):
         NoiseSchedule(beta_min=0.0)

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steptuner import (
@@ -56,6 +56,7 @@ def test_log_snr_respects_t_min(schedule):
     st.integers(min_value=1, max_value=40),
     st.floats(min_value=0.0, max_value=500.0),
 )
+@example("log-snr", 1, 1.25)  # lambda_K rounded below log_snr(T)
 def test_trajectory_invariants(kind, K, t_min):
     schedule = NoiseSchedule()
     traj = make_trajectory(kind, K, schedule, t_min=t_min)
