@@ -20,10 +20,6 @@ from .errors import DomainError
 from .rng import BLOCK, PURPOSE_DATA, per_sample_map
 from .schedule import NoiseSchedule
 
-# Log weights minus their maximum are floored here before exp. That keeps exp off slow
-# subnormal results; a weight under 1e-304 of the largest (1) cannot move their sum.
-_LOG_FLOOR = -700.0
-
 
 def _as_floats(name: str, value) -> np.ndarray:
     try:
@@ -91,7 +87,6 @@ class GaussianMixtureOracle:
         """Posterior probabilities from (k, n) log weights, in place; also their max and sum."""
         m = logn.max(axis=0)
         logn -= m
-        np.maximum(logn, _LOG_FLOOR, out=logn)
         np.exp(logn, out=logn)
         total = logn.sum(axis=0)
         logn /= total

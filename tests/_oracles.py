@@ -128,7 +128,8 @@ def mixture_posterior(model, x: np.ndarray, t: float) -> dict:
     """Direct mixture formulas from the (n, k, D) differences x - alpha mu_k.
 
     Returns epsilon, score, log_density and responsibilities at the rows of
-    x, each evaluated with the explicit per-component difference tensor.
+    x, each evaluated with the explicit per-component difference tensor, and
+    the (n, k) shifted log weights log(w_k N_k) - max_k log(w_k N_k).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     alpha, sigma = model.schedule.alpha_sigma(t)
@@ -140,7 +141,8 @@ def mixture_posterior(model, x: np.ndarray, t: float) -> dict:
         + np.log(model.weights)
     )
     m = logn.max(axis=1, keepdims=True)
-    g = np.exp(logn - m)
+    shifted = logn - m
+    g = np.exp(shifted)
     total = g.sum(axis=1, keepdims=True)
     g = g / total
     score = np.einsum("nk,nkd->nd", g / v, -diff)
@@ -149,6 +151,7 @@ def mixture_posterior(model, x: np.ndarray, t: float) -> dict:
         "score": score,
         "log_density": (m + np.log(total))[:, 0],
         "responsibilities": g,
+        "shifted_log_weights": shifted,
     }
 
 

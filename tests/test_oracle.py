@@ -10,6 +10,9 @@ from steptuner import DomainError, GaussianMixtureOracle, NoiseSchedule, gmm8, s
 from steptuner.oracle import make_oracle
 from steptuner.rng import PURPOSE_DATA, derive_rng
 
+# oracle methods checked against the keys of the same name in mixture_posterior
+METHODS = ("epsilon", "score", "log_density", "responsibilities")
+
 
 def test_score_matches_finite_differences(gmm8_model, rng):
     worst = 0.0
@@ -48,7 +51,9 @@ def test_expanded_distances_match_direct_formula(schedule, name):
         for radius in (0.01, 0.1, 1.0, 3.0, 10.0):
             x = rng.standard_normal((64, model.dim))
             x *= radius / np.linalg.norm(x, axis=1, keepdims=True)
-            for method, want in mixture_posterior(model, x, t).items():
+            direct = mixture_posterior(model, x, t)
+            for method in METHODS:
+                want = direct[method]
                 got = getattr(model, method)(x, t)
                 rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
                 assert rel < 1e-10, (method, t, radius, rel)
@@ -62,13 +67,10 @@ def test_subnormal_weights_match_direct_formula(schedule):
     x = np.repeat(model.means, 8, axis=0) + 0.01 * rng.standard_normal((64, 2))
     lowest = 0.0
     for t in (schedule.t_eps, 1.0, 2.0, 3.0):
-        alpha, sigma = schedule.alpha_sigma(t)
-        v = alpha * alpha * model.scales**2 + sigma * sigma
-        diff = x[:, None, :] - alpha * model.means[None, :, :]
-        # log w_k is the same for every k and cancels in the shift; D = 2
-        logn = -0.5 * np.sum(diff * diff, axis=2) / v - np.log(2.0 * np.pi * v)
-        lowest = min(lowest, np.min(logn - logn.max(axis=1, keepdims=True)))
-        for method, want in mixture_posterior(model, x, t).items():
+        direct = mixture_posterior(model, x, t)
+        lowest = min(lowest, direct["shifted_log_weights"].min())
+        for method in METHODS:
+            want = direct[method]
             got = getattr(model, method)(x, t)
             rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert rel < 1e-10, (method, t, rel)
