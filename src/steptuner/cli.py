@@ -112,7 +112,7 @@ def _load_tuned(args, traj, schedule, sampler):
     return tuned, True
 
 
-def cmd_tune(args, cfg, schedule, model, traj, sampler) -> list:
+def cmd_tune(args, cfg, schedule, model, traj, sampler) -> tuple:
     tuned, records = run_tune(cfg.tuner, traj, sampler, model)
     lines = ["i,t_i,tau_i,loss_baseline,loss_tuned,stderr,boundary_flag"]
     for r in records:
@@ -121,17 +121,23 @@ def cmd_tune(args, cfg, schedule, model, traj, sampler) -> list:
             f"{r.loss_tuned!r},{r.stderr!r},{int(r.boundary)}"
         )
     csv = "\n".join(lines) + "\n"
-    return [("tuned.json", tuned_to_json(tuned, schedule)), ("tuned.csv", csv)]
+    # the search's telemetry goes to the sidecar, so the CSV stays as it was
+    sites = [
+        {"step": r.step, "t_site": r.t_site, "fell_back": r.fell_back, "n_evals": r.n_evals}
+        for r in records
+    ]
+    outputs = [("tuned.json", tuned_to_json(tuned, schedule)), ("tuned.csv", csv)]
+    return outputs, {"tune": sites}
 
 
-def cmd_sample(args, cfg, schedule, model, traj, sampler) -> list:
+def cmd_sample(args, cfg, schedule, model, traj, sampler) -> tuple:
     tuned, _ = _load_tuned(args, traj, schedule, sampler)
     x_T = draw_start_states(model, args.n, cfg.seeds.sample)
     rows = generate_paths(x_T, tuned, sampler, model).states[-1].tolist()
-    return [("samples.csv", "".join(",".join(map(repr, r)) + "\n" for r in rows))]
+    return [("samples.csv", "".join(",".join(map(repr, r)) + "\n" for r in rows))], {}
 
 
-def cmd_gap(args, cfg, schedule, model, traj, sampler) -> list:
+def cmd_gap(args, cfg, schedule, model, traj, sampler) -> tuple:
     tuned, _ = _load_tuned(args, traj, schedule, sampler)
     _require_n(args, 1)
     x_T = draw_start_states(model, args.n, cfg.seeds.sample)
@@ -140,10 +146,10 @@ def cmd_gap(args, cfg, schedule, model, traj, sampler) -> list:
         x_T, model, _DENSE_K, t_min=float(traj.points[0]),
         checkpoints=coarse.trajectory_points,
     )
-    return [("gap.csv", gap_profile(coarse, reference).to_csv())]
+    return [("gap.csv", gap_profile(coarse, reference).to_csv())], {}
 
 
-def cmd_sweep(args, cfg, schedule, model, traj, sampler) -> list:
+def cmd_sweep(args, cfg, schedule, model, traj, sampler) -> tuple:
     if args.tuned is None:
         raise ConfigError("sweep requires --tuned")
     tuned, _ = _load_tuned(args, traj, schedule, sampler)
@@ -152,10 +158,10 @@ def cmd_sweep(args, cfg, schedule, model, traj, sampler) -> list:
         traj, tuned, sampler, model, args.n, seed=cfg.seeds.sample
     )
     rows = [f"{m},{r.frechet!r},{r.sliced_wasserstein!r}" for m, r in enumerate(reports)]
-    return [("sweep.csv", "\n".join(["m,fd,swd"] + rows) + "\n")]
+    return [("sweep.csv", "\n".join(["m,fd,swd"] + rows) + "\n")], {}
 
 
-def cmd_eval(args, cfg, schedule, model, traj, sampler) -> list:
+def cmd_eval(args, cfg, schedule, model, traj, sampler) -> tuple:
     tuned, is_tuned = _load_tuned(args, traj, schedule, sampler)
     _require_n(args, model.dim + 1)
     x_T = draw_start_states(model, args.n, cfg.seeds.sample)
@@ -163,19 +169,20 @@ def cmd_eval(args, cfg, schedule, model, traj, sampler) -> list:
     data = model.sample_data(args.n, cfg.seeds.data)
     report = evaluate_samples(path.states[-1], data, seed=cfg.seeds.eval)
     doc = dict(report.to_dict(), tuned=is_tuned)
-    return [("eval.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")]
+    return [("eval.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")], {}
 
 
 def _run(args) -> int:
     """Load and build the config, run the command, write its outputs.
 
-    A command returns its (default name, text) outputs. The first goes to
-    --out, or under its default name to the config's out_dir; each further
-    one goes next to it with its own suffix. The ``.meta.json`` sidecar,
-    which echoes the settings used, sits by the first.
+    A command returns its (default name, text) outputs and a dict of what
+    the run did, for the sidecar. The first output goes to --out, or under
+    its default name to the config's out_dir; each further one goes next to
+    it with its own suffix. The ``.meta.json`` sidecar, which echoes the
+    settings used, sits by the first.
     """
     cfg = _load(args)
-    outputs = _COMMANDS[args.command](args, cfg, *cfg.build())
+    outputs, report = _COMMANDS[args.command](args, cfg, *cfg.build())
     first = Path(args.out) if args.out is not None else Path(cfg.out_dir) / outputs[0][0]
     paths = [first] + [first.with_suffix(Path(name).suffix) for name, _ in outputs[1:]]
     first.parent.mkdir(parents=True, exist_ok=True)
@@ -193,6 +200,7 @@ def _run(args) -> int:
             "tuned": args.tuned,
         },
         "outputs": [str(p) for p in paths],
+        **report,
     }
     sidecar = first.with_name(first.name + ".meta.json")
     sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

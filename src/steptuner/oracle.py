@@ -58,70 +58,93 @@ class GaussianMixtureOracle:
             raise DomainError("scales: must all be positive")
         if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise DomainError("weights: must be positive and sum to 1")
+        # per-model constants of every evaluation, as (k, 1) columns
+        object.__setattr__(self, "_log_weights", np.log(weights)[:, None])
+        object.__setattr__(self, "_scales_sq", (scales**2)[:, None])
 
     @property
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _log_weighted_densities(self, x: np.ndarray, t: float) -> tuple:
+    def _log_weighted_densities(self, x: np.ndarray, t) -> tuple:
         """x as (n, D), the (k, n) log(w_k N(x; alpha mu_k, v_k I)), alpha mu, v, sigma.
 
         Component-major, so reductions over components run along contiguous rows, and
         ||x - a mu_k||^2 = ||x||^2 - 2 a mu_k . x + ||a mu_k||^2 needs no (n, k, D) tensor.
+        t may also be a 1-D array of G times: alpha and sigma broadcast as (G, 1, 1),
+        every other array gains a leading axis of G, and each slice equals the
+        evaluation at its one time bitwise.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.ndim != 2:
+            raise DomainError(f"oracle needs points of shape (n, D), got {x.shape}")
         if not np.all(np.isfinite(x)):
             raise DomainError("oracle evaluated at non-finite point")
         alpha, sigma = self.schedule.alpha_sigma(t)
-        v = (alpha * alpha * self.scales**2 + sigma * sigma)[:, None]  # (k, 1)
-        am = alpha * self.means  # (k, D)
-        logn = (-2.0 * am) @ x.T  # (k, n); scaling by -2 is exact
+        if isinstance(alpha, np.ndarray):  # G times
+            if alpha.ndim != 1:
+                raise DomainError(f"t: need one time or a 1-D array, got shape {alpha.shape}")
+            alpha, sigma = alpha[:, None, None], sigma[:, None, None]
+        v = alpha * alpha * self._scales_sq + sigma * sigma  # (k, 1) or (G, k, 1)
+        am = alpha * self.means  # (k, D) or (G, k, D)
+        logn = (-2.0 * am) @ x.T  # (k, n) or (G, k, n); scaling by -2 is exact
         logn += np.einsum("nd,nd->n", x, x)
-        logn += np.einsum("kd,kd->k", am, am)[:, None]
+        logn += np.einsum("...kd,...kd->...k", am, am)[..., None]
         logn *= -0.5 / v
-        logn += np.log(self.weights)[:, None] - 0.5 * self.dim * np.log(2.0 * np.pi * v)
+        logn += self._log_weights - 0.5 * self.dim * np.log(2.0 * np.pi * v)
         return x, logn, am, v, sigma
 
     @staticmethod
     def _normalise(logn: np.ndarray) -> tuple:
-        """Posterior probabilities from (k, n) log weights, in place; also their max and sum."""
-        m = logn.max(axis=0)
-        logn -= m
+        """Posterior probabilities from (..., k, n) log weights, in place; also max and sum."""
+        m = logn.max(axis=-2)
+        logn -= m[..., None, :]
         np.exp(logn, out=logn)
-        total = logn.sum(axis=0)
-        logn /= total
+        total = logn.sum(axis=-2)
+        logn /= total[..., None, :]
         return logn, m, total
 
-    def responsibilities(self, x: np.ndarray, t: float) -> np.ndarray:
+    def responsibilities(self, x: np.ndarray, t) -> np.ndarray:
         """(n, k) posterior component probabilities, stable in log space."""
-        return self._normalise(self._log_weighted_densities(x, t)[1])[0].T
+        return self._normalise(self._log_weighted_densities(x, t)[1])[0].swapaxes(-1, -2)
 
-    def log_density(self, x: np.ndarray, t: float) -> np.ndarray:
+    def log_density(self, x: np.ndarray, t) -> np.ndarray:
         """log q_t(x) via log-sum-exp over components."""
         squeeze = np.asarray(x).ndim == 1
         _, m, total = self._normalise(self._log_weighted_densities(x, t)[1])
         out = m + np.log(total)
         return float(out[0]) if squeeze else out
 
-    def _score_sigma(self, x: np.ndarray, t: float) -> tuple:
+    def _score_sigma(self, x: np.ndarray, t) -> tuple:
         """(score, sigma_t): sum_k g_k (a mu_k - x) / v_k = (g / v)^T @ a mu - x sum_k g_k / v_k."""
-        squeeze = np.asarray(x).ndim == 1
-        x, logn, am, v, sigma = self._log_weighted_densities(x, t)
-        gv = self._normalise(logn)[0]
+        x, gv, am, v, sigma = self._log_weighted_densities(x, t)
+        self._normalise(gv)
         gv /= v
-        out = gv.T @ am
-        out -= x * gv.sum(axis=0)[:, None]
-        return (out[0] if squeeze else out), sigma
+        out = gv.swapaxes(-1, -2) @ am
+        weight = gv.sum(axis=-2)[..., None]
+        del gv  # free the (k, n) array before the last (n, D) temporary
+        out -= x * weight
+        return out, sigma
 
-    def score(self, x: np.ndarray, t: float) -> np.ndarray:
+    @staticmethod
+    def _like(x, out: np.ndarray) -> np.ndarray:
+        """out without its row axis when x is a single point."""
+        return out[..., 0, :] if np.asarray(x).ndim == 1 else out
+
+    def score(self, x: np.ndarray, t) -> np.ndarray:
         """Gradient of log q_t at x: responsibility-weighted Gaussian pulls."""
-        return self._score_sigma(x, t)[0]
+        return self._like(x, self._score_sigma(x, t)[0])
 
-    def epsilon(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Ideal noise prediction: -sigma_t times the score at (x, t)."""
+    def epsilon(self, x: np.ndarray, t) -> np.ndarray:
+        """Ideal noise prediction: -sigma_t times the score at (x, t).
+
+        x is one (n, D) batch of points. t is one time, giving (n, D), or a
+        1-D array of G times, giving the (G, n, D) predictions at each; a
+        slice equals the call at its one time bitwise.
+        """
         out, sigma = self._score_sigma(x, t)
         out *= -sigma
-        return out
+        return self._like(x, out)
 
     def draw(self, n: int, key, extra: int = 0) -> tuple:
         """n data rows plus ``extra`` standard normal vectors per row.

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, sqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ContractError, DomainError
 from .oracle import GaussianMixtureOracle
 from .rng import PURPOSE_PATHS, check_seed, per_sample_map
-from .trajectory import TunedTrajectory, midpoint_time
+from .trajectory import TunedTrajectory, evaluations_per_step, midpoint_time
 
 SAMPLER_KINDS = ("ddim-family", "dpm-solver-2")
 
@@ -56,12 +56,68 @@ class SamplePath:
         return self.states[K - i]
 
 
-def _check_step(t_from: float, t_to: float, T: float, *taus: float) -> None:
+class StepConstants(NamedTuple):
+    """Schedule values of one step from t_from to t_to.
+
+    None of them depends on a conditioning time, so a caller that takes one
+    step at many conditioning times (the tuner's loss) builds them once with
+    ``step_constants``. The last three are set for two-evaluation steps only.
+    """
+
+    t_from: float
+    t_to: float
+    a_from: float
+    s_from: float
+    a_to: float
+    s_to: float
+    h: float = 0.0  # lambda(t_to) - lambda(t_from)
+    a_mid: float = 0.0  # alpha and sigma at the log-SNR midpoint time
+    s_mid: float = 0.0
+
+
+def step_constants(
+    schedule, t_from: float, t_to: float, kind: str = "ddim-family"
+) -> StepConstants:
+    """The constants of one step of the given sampler kind, checking its times."""
     if not (t_to < t_from):
         raise DomainError(f"step requires t_to < t_from, got {t_to} >= {t_from}")
+    a_from, s_from = schedule.alpha_sigma(t_from)
+    a_to, s_to = schedule.alpha_sigma(t_to)
+    if evaluations_per_step(kind) == 1:
+        return StepConstants(t_from, t_to, a_from, s_from, a_to, s_to)
+    if t_to < schedule.t_eps:
+        raise DomainError(
+            f"two-evaluation step needs t_to >= {schedule.t_eps} for log-SNR, got {t_to}"
+        )
+    h = schedule.log_snr(t_to) - schedule.log_snr(t_from)
+    a_mid, s_mid = schedule.alpha_sigma(midpoint_time(schedule, t_from, t_to))
+    return StepConstants(t_from, t_to, a_from, s_from, a_to, s_to, h, a_mid, s_mid)
+
+
+def _constants(model, t_from, t_to, kind, consts) -> StepConstants:
+    if consts is None:
+        return step_constants(model.schedule, t_from, t_to, kind)
+    if (consts.t_from, consts.t_to) != (t_from, t_to):
+        raise ContractError(
+            f"constants of the step {consts.t_from} -> {consts.t_to} passed to "
+            f"the step {t_from} -> {t_to}"
+        )
+    return consts
+
+
+def _check_taus(T: float, *taus) -> None:
     for tau in taus:
-        if not (0.0 < tau <= T):
+        if not np.all((0.0 < tau) & (tau <= T)):
             raise DomainError(f"conditioning time must lie in (0, T], got {tau}")
+
+
+def _predict(model: GaussianMixtureOracle, x: np.ndarray, tau) -> np.ndarray:
+    """model.epsilon of one (n, D) state, or of a (G, n, D) stack at one time."""
+    if x.ndim == 2:
+        return model.epsilon(x, tau)
+    if np.ndim(tau):
+        raise DomainError("a stack of states takes one conditioning time")
+    return model.epsilon(x.reshape(-1, x.shape[-1]), tau).reshape(x.shape)
 
 
 def _deterministic_part(x, a_from, s_from, a_to, s_to_eff, eps_hat):
@@ -80,24 +136,28 @@ def ddim_step(
     x: np.ndarray,
     t_from: float,
     t_to: float,
-    tau: float,
+    tau,
     model: GaussianMixtureOracle,
     eta: float = 0.0,
     noise: Optional[np.ndarray] = None,
+    consts: Optional[StepConstants] = None,
 ) -> np.ndarray:
-    """One eta-family step from t_from to t_to, conditioning the model at tau."""
-    sched = model.schedule
-    _check_step(t_from, t_to, sched.T, tau)
+    """One eta-family step from t_from to t_to, conditioning the model at tau.
+
+    tau may be a 1-D array of G candidate times; the result then stacks the
+    G steps of the (n, D) state x as (G, n, D). consts are the step's
+    constants when the caller has built them.
+    """
+    c = _constants(model, t_from, t_to, "ddim-family", consts)
+    _check_taus(model.schedule.T, tau)
     if eta > 0.0 and noise is None:
         raise ContractError("eta > 0 requires a noise array")
-    a_from, s_from = sched.alpha_sigma(t_from)
-    a_to, s_to = sched.alpha_sigma(t_to)
     eps_hat = model.epsilon(x, tau)
     if eta == 0.0:
-        return _deterministic_part(x, a_from, s_from, a_to, s_to, eps_hat)
-    sig_eta = _eta_noise_scale(eta, a_from, s_from, a_to, s_to)
-    s_to_eff = sqrt(max(0.0, s_to * s_to - sig_eta * sig_eta))
-    return _deterministic_part(x, a_from, s_from, a_to, s_to_eff, eps_hat) + sig_eta * noise
+        return _deterministic_part(x, c.a_from, c.s_from, c.a_to, c.s_to, eps_hat)
+    sig_eta = _eta_noise_scale(eta, c.a_from, c.s_from, c.a_to, c.s_to)
+    s_to_eff = sqrt(max(0.0, c.s_to * c.s_to - sig_eta * sig_eta))
+    return _deterministic_part(x, c.a_from, c.s_from, c.a_to, s_to_eff, eps_hat) + sig_eta * noise
 
 
 def ddim_step_baseline(
@@ -112,34 +172,35 @@ def ddim_step_baseline(
     return ddim_step(x, t_from, t_to, t_from, model, eta, noise)
 
 
+def _midpoint_state(x, c: StepConstants, tau_a, model) -> np.ndarray:
+    """Stage 1 of the two-evaluation step: the state u at the log-SNR midpoint."""
+    return (c.a_mid / c.a_from) * x - c.s_mid * (exp(0.5 * c.h) - 1.0) * model.epsilon(x, tau_a)
+
+
+def _midpoint_update(x, u, c: StepConstants, tau_b, model) -> np.ndarray:
+    """Stage 2: the step from x with the model evaluated at u."""
+    return (c.a_to / c.a_from) * x - c.s_to * (exp(c.h) - 1.0) * _predict(model, u, tau_b)
+
+
 def dpm_solver2_step(
     x: np.ndarray,
     t_from: float,
     t_to: float,
-    tau_a: float,
-    tau_b: float,
+    tau_a,
+    tau_b,
     model: GaussianMixtureOracle,
+    consts: Optional[StepConstants] = None,
 ) -> np.ndarray:
     """One log-SNR midpoint step with two model evaluations.
 
     Baseline conditioning is tau_a = t_from and tau_b = the midpoint time;
     tuning replaces only those two arguments, never the coefficients.
+    Either time, not both, may be a 1-D array of G candidate times; the
+    result then stacks the G steps as (G, n, D).
     """
-    sched = model.schedule
-    _check_step(t_from, t_to, sched.T, tau_a, tau_b)
-    if t_to < sched.t_eps:
-        raise DomainError(
-            f"two-evaluation step needs t_to >= {sched.t_eps} for log-SNR, got {t_to}"
-        )
-    lam_from = sched.log_snr(t_from)
-    lam_to = sched.log_snr(t_to)
-    h = lam_to - lam_from
-    s_mid = midpoint_time(sched, t_from, t_to)
-    a_from, _ = sched.alpha_sigma(t_from)
-    a_s, s_s = sched.alpha_sigma(s_mid)
-    a_to, s_to = sched.alpha_sigma(t_to)
-    u = (a_s / a_from) * x - s_s * (exp(0.5 * h) - 1.0) * model.epsilon(x, tau_a)
-    return (a_to / a_from) * x - s_to * (exp(h) - 1.0) * model.epsilon(u, tau_b)
+    c = _constants(model, t_from, t_to, "dpm-solver-2", consts)
+    _check_taus(model.schedule.T, tau_a, tau_b)
+    return _midpoint_update(x, _midpoint_state(x, c, tau_a, model), c, tau_b, model)
 
 
 def step(
@@ -150,6 +211,7 @@ def step(
     model: GaussianMixtureOracle,
     sampler: SamplerConfig,
     noise: Optional[np.ndarray] = None,
+    consts: Optional[StepConstants] = None,
 ) -> np.ndarray:
     """One step of the sampler's kind, conditioning its sites at taus.
 
@@ -158,8 +220,40 @@ def step(
     is stochastic.
     """
     if sampler.kind == "ddim-family":
-        return ddim_step(x, t_from, t_to, taus[0], model, sampler.eta, noise)
-    return dpm_solver2_step(x, t_from, t_to, taus[0], taus[1], model)
+        return ddim_step(x, t_from, t_to, taus[0], model, sampler.eta, noise, consts)
+    return dpm_solver2_step(x, t_from, t_to, taus[0], taus[1], model, consts)
+
+
+def site_step(
+    x: np.ndarray,
+    consts: StepConstants,
+    taus,
+    site: int,
+    model: GaussianMixtureOracle,
+    sampler: SamplerConfig,
+    noise: Optional[np.ndarray] = None,
+):
+    """The step from x as a function of the time at one evaluation site.
+
+    The other sites stay at taus. The function takes a 1-D array of G
+    candidate times and returns the (G, n, D) stepped states, each equal
+    bitwise to ``step`` at its one time. What does not depend on the
+    candidate is computed here, once: with the first site of a
+    two-evaluation step held, its stage-1 state.
+    """
+    t_from, t_to = consts.t_from, consts.t_to
+    if site == 0:
+        return lambda cand: step(
+            x, t_from, t_to, (cand,) + tuple(taus[1:]), model, sampler, noise, consts
+        )
+    _check_taus(model.schedule.T, taus[0])
+    u = _midpoint_state(x, consts, taus[0], model)
+
+    def stepped(cand):
+        _check_taus(model.schedule.T, cand)
+        return _midpoint_update(x, u, consts, cand, model)
+
+    return stepped
 
 
 def sample_path(
@@ -211,9 +305,12 @@ def sample_path(
 __all__ = [
     "SamplerConfig",
     "SamplePath",
+    "StepConstants",
     "ddim_step",
     "ddim_step_baseline",
     "dpm_solver2_step",
     "sample_path",
+    "site_step",
     "step",
+    "step_constants",
 ]

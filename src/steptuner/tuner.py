@@ -5,8 +5,9 @@ time tau_i whose step output stays most consistent with the model: the
 loss is the mean squared difference between the model's prediction at the
 stepped state (evaluated at the next trajectory time) and its prediction
 at the current state. ``StepLoss`` is that loss for one step, built once
-and called per candidate. Its prefix decides how the current state is
-built, which is all the two training strategies differ in:
+with the step's schedule constants and scored for many candidates. Its
+prefix decides how the current state is built, which is all the two
+training strategies differ in:
 
   sequential - prefix = the times already tuned for steps K..i+1, so
                states are rolled from t_K and each step trains on the
@@ -19,6 +20,16 @@ step, keyed by (seed, tune purpose, step) in blocks of rows, reused across
 every candidate tau. Minimization is a coarse grid scan followed by
 golden-section refinement; the untuned time is always a candidate, so the
 tuned loss can never exceed the baseline loss under the training batch.
+
+The grid's candidates are independent, so they are scored together: the
+oracle takes one state and G times in one call, the solver step
+broadcasts over those G times, and the consistency prediction runs on the
+stacked G n rows. A pass stacks at most ``_PASS_ROWS`` = 8192 rows
+(max(1, 8192 // batch) candidates), which bounds the memory a pass holds;
+each estimate equals the candidate's own evaluation bitwise. The
+golden-section probes are scored one at a time, through the same code.
+With the first site of a two-evaluation step held, its stage-1 state is
+computed once for the whole search of the second site.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .oracle import GaussianMixtureOracle
 from .rng import PURPOSE_TUNE, check_seed
-from .samplers import SamplerConfig, step
+from .samplers import SamplerConfig, site_step, step, step_constants
 from .trajectory import (
     Trajectory,
     TunedTrajectory,
@@ -87,13 +98,17 @@ class TuneRecord:
     loss_tuned: float
     stderr: float
     boundary: bool
+    fell_back: bool  # no candidate beat the untuned times, so the step kept them
+    n_evals: int  # candidate conditioning times scored for this site
 
 
 def _mean_stderr(per_row: np.ndarray) -> tuple:
-    """Mean of per-row values and its standard error (0 for a single row)."""
-    n = len(per_row)
-    stderr = float(per_row.std(ddof=1) / sqrt(n)) if n > 1 else 0.0
-    return float(per_row.mean()), stderr
+    """Mean of per-row values along the last axis and its standard error (0
+    for a single row): floats for one set of rows, lists for a stack of them."""
+    n = per_row.shape[-1]
+    mean = per_row.mean(axis=-1)
+    stderr = per_row.std(axis=-1, ddof=1) / sqrt(n) if n > 1 else np.zeros_like(mean)
+    return mean.tolist(), stderr.tolist()
 
 
 def _consistency(
@@ -102,19 +117,36 @@ def _consistency(
     """(mean, stderr) of the squared distance from the model's prediction at
     the stepped state y to each target; one model call serves every target.
 
+    y is one (n, D) state or a (G, n, D) stack of them, scored in one call
+    on its G n rows; a stack gives each mean and stderr as a list over G.
     The prediction is conditioned at t_to, or at t_eps below it: when the
     destination is t = 0 the model output is identically zero there.
     """
-    pred = model.epsilon(y, max(t_to, model.schedule.t_eps))
+    rows = y.reshape(-1, y.shape[-1])
+    pred = model.epsilon(rows, max(t_to, model.schedule.t_eps)).reshape(y.shape)
     out = []
     for target in targets:
         d = pred - target
-        out.append(_mean_stderr(np.sum(d * d, axis=1)))
+        d *= d
+        out.append(_mean_stderr(np.sum(d, axis=-1)))
     return out
 
 
+# Rows of one stacked scoring pass: G candidates of a batch of n rows are
+# scored together in passes of max(1, _PASS_ROWS // n) candidates, which
+# bounds the (G, n, D) stacks and the oracle's (G, k, n) arrays.
+_PASS_ROWS = 8192
+
+
+def _candidates_per_pass(batch: int) -> int:
+    # A one-row batch goes one candidate per pass: matmul takes another BLAS
+    # kernel for a single row than for several, which rounds differently, so
+    # stacking one-row candidates would move their losses in the last bits.
+    return max(1, _PASS_ROWS // batch) if batch > 1 else 1
+
+
 class StepLoss:
-    """Consistency loss of step i on one frozen batch, called per candidate.
+    """Consistency loss of step i on one frozen batch, scored per candidate.
 
     The batch is one ``model.draw`` keyed by (seed, tune purpose, i): per
     row the mixture component, x0, eps, then the solver noise of every
@@ -123,8 +155,10 @@ class StepLoss:
     conditioning times of steps K..i+1 in rollout order, one site tuple
     per step; the states are then forward samples at t_K rolled through
     those steps.
-    Calling the object with one site tuple scores the step from t_i to
-    t_{i-1} conditioned there, on the same batch every time.
+    ``site(idx, taus)`` scores many candidate times of one evaluation site
+    at once; calling the object with one site tuple scores that tuple. Both
+    score the step from t_i to t_{i-1} on the same batch every time, with
+    the step's schedule constants built once, here.
     """
 
     def __init__(
@@ -151,6 +185,7 @@ class StepLoss:
         self.t_from = pts[i]
         self.t_to = pts[i - 1]
         sched = model.schedule
+        self.consts = step_constants(sched, self.t_from, self.t_to, sampler.kind)
         needs_noise = not sampler.deterministic
         n_noise = (len(prefix) + 1) if needs_noise else 0
         x0, normals = model.draw(batch, (seed, PURPOSE_TUNE, i), extra=1 + n_noise)
@@ -166,21 +201,42 @@ class StepLoss:
         self.target = model.epsilon(x, self.t_from)
         self.batch = batch
 
-    def _score(self, taus: Sequence[float], *targets: np.ndarray) -> list:
-        """Consistency estimate of each target from one step and one model call."""
-        y = step(
-            self.state, self.t_from, self.t_to, taus, self.model, self.sampler,
-            self.step_noise,
+    def _scores(self, stepped, values, *targets: np.ndarray) -> list:
+        """Per target, the estimates of every candidate value, in stacked passes."""
+        values = np.asarray(values, dtype=float)
+        per_pass = _candidates_per_pass(self.batch)
+        out = [[] for _ in targets]
+        for start in range(0, len(values), per_pass):
+            chunk = values[start : start + per_pass]
+            y = stepped(chunk)
+            for estimates, (means, stderrs) in zip(
+                out, _consistency(self.model, y, self.t_to, *targets)
+            ):
+                for tau, value, stderr in zip(chunk, means, stderrs):
+                    if not np.isfinite(value):
+                        raise NumericError(f"non-finite loss at conditioning time {tau}")
+                    estimates.append(LossEstimate(value=value, stderr=stderr, batch=self.batch))
+        return out
+
+    def site(self, idx: int, taus: Sequence[float]) -> Callable:
+        """Scorer of candidate times at evaluation site idx, the others held at taus.
+
+        It maps a 1-D array of G times to their G loss estimates; each equals
+        the call with its one site tuple bitwise.
+        """
+        stepped = site_step(
+            self.state, self.consts, taus, idx, self.model, self.sampler, self.step_noise
         )
-        estimates = []
-        for value, stderr in _consistency(self.model, y, self.t_to, *targets):
-            if not np.isfinite(value):
-                raise NumericError(f"non-finite loss at conditioning times {taus}")
-            estimates.append(LossEstimate(value=value, stderr=stderr, batch=self.batch))
-        return estimates
+        return lambda values: self._scores(stepped, values, self.target)[0]
+
+    def _one(self, taus: Sequence[float], *targets: np.ndarray) -> list:
+        stepped = site_step(
+            self.state, self.consts, taus, 0, self.model, self.sampler, self.step_noise
+        )
+        return [est for (est,) in self._scores(stepped, [taus[0]], *targets)]
 
     def __call__(self, taus: Sequence[float]) -> LossEstimate:
-        return self._score(taus, self.target)[0]
+        return self._one(taus, self.target)[0]
 
     def _true_noise(self) -> np.ndarray:
         alpha_i, sigma_i = self.model.schedule.alpha_sigma(self.t_from)
@@ -193,11 +249,11 @@ class StepLoss:
         state is an exact forward sample, where the true noise is the
         posterior target the model itself regresses to.
         """
-        return self._score(taus, self._true_noise())[0]
+        return self._one(taus, self._true_noise())[0]
 
     def both(self, taus: Sequence[float]) -> tuple:
         """(consistency, denoising) estimates from one step and one model call."""
-        return tuple(self._score(taus, self.target, self._true_noise()))
+        return tuple(self._one(taus, self.target, self._true_noise()))
 
 
 def optimize_tau(
@@ -205,18 +261,21 @@ def optimize_tau(
     bounds: tuple,
     coarse_grid: int = 33,
     tol: float = 0.01,
+    scan: Optional[Callable[[np.ndarray], Sequence[float]]] = None,
 ) -> tuple:
     """Scalar minimization: coarse grid scan, then golden-section refinement.
 
     Returns (tau_star, loss_at_star, boundary_flag); the flag is set when
     the minimum sits on an end of the search interval. The loss callable
-    must be deterministic (frozen common random numbers).
+    must be deterministic (frozen common random numbers). scan, when
+    given, maps the whole coarse grid to its losses in one call and must
+    agree with loss at every point; the refinement always calls loss.
     """
     lo, hi = bounds
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got ({lo}, {hi})")
     grid = np.linspace(lo, hi, coarse_grid)
-    vals = np.array([loss(g) for g in grid], dtype=float)
+    vals = np.array(scan(grid) if scan is not None else [loss(g) for g in grid], dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = grid[~np.isfinite(vals)][0]
         raise NumericError(f"non-finite loss at tau = {bad}")
@@ -283,22 +342,37 @@ def tune(
         )
         lo, hi = _search_bounds(cfg.bounds, traj, i, sched.t_eps)
         baseline_sites = tuple(untuned.taus_for_step(i))
-        base_est = loss(baseline_sites)
         sites = list(baseline_sites)
         flags = []
+        n_evals = [0] * per_step
+        scored = {}  # site tuple -> LossEstimate, for every candidate scored at step i
         for site_idx in range(per_step):
-            def site_loss(tau, _idx=site_idx):
-                probe = list(sites)
-                probe[_idx] = tau
-                return loss(tuple(probe)).value
+            scores = loss.site(site_idx, sites)
+
+            def site_scan(values):
+                estimates = scores(values)
+                for value, est in zip(values, estimates):
+                    probe = list(sites)
+                    probe[site_idx] = value
+                    scored[tuple(probe)] = est
+                n_evals[site_idx] += len(estimates)
+                return [est.value for est in estimates]
 
             tau_star, _, flag = optimize_tau(
-                site_loss, (lo, hi), cfg.coarse_grid, cfg.refine_tol
+                lambda tau: site_scan([tau])[0], (lo, hi), cfg.coarse_grid,
+                cfg.refine_tol, scan=site_scan,
             )
             sites[site_idx] = tau_star
             flags.append(flag)
-        tuned_est = loss(tuple(sites))
-        if base_est.value <= tuned_est.value:
+        # the search scored the tuned times, and, when they are on the
+        # grid, the untuned ones
+        tuned_est = scored[tuple(sites)]
+        base_est = scored.get(baseline_sites)
+        if base_est is None:
+            base_est = loss(baseline_sites)
+            n_evals[0] += 1
+        fell_back = base_est.value <= tuned_est.value
+        if fell_back:
             # the untuned times are always in the candidate set
             sites = list(baseline_sites)
             flags = [False] * per_step
@@ -315,6 +389,8 @@ def tune(
                 loss_tuned=tuned_est.value,
                 stderr=tuned_est.stderr,
                 boundary=bool(flags[site_idx]),
+                fell_back=fell_back,
+                n_evals=n_evals[site_idx],
             )
         chosen.append(tuple(sites))
     tuned = TunedTrajectory(

@@ -235,6 +235,11 @@ def test_cli_tune_outputs(tmp_path, capsys):
     assert meta["command"] == "tune"
     assert meta["tool"] == "steptuner"
     assert not any("time" in k or "date" in k for k in meta)
+    # per-site search telemetry, in the sidecar only
+    assert [site["step"] for site in meta["tune"]] == [1, 2, 3]
+    for site in meta["tune"]:
+        assert set(site) == {"step", "t_site", "fell_back", "n_evals"}
+        assert isinstance(site["fell_back"], bool) and site["n_evals"] > 0
     capsys.readouterr()
 
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import finite_difference_gradient, mixture_posterior
 from steptuner import DomainError, GaussianMixtureOracle, NoiseSchedule, gmm8, standard_gaussian
@@ -100,6 +102,43 @@ def test_epsilon_memory_has_no_component_dim_tensor(schedule):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * n * k * D * 8
+
+
+_MULTI_MODELS = {
+    "gmm8": lambda s: gmm8(s),
+    "standard3": lambda s: standard_gaussian(s, dim=3),
+    "unequal3": _unequal_mixture_3d,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_MULTI_MODELS)),
+    n=st.integers(min_value=1, max_value=3000),
+    times=st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=1, max_size=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_multi_time_epsilon_slices_equal_scalar_calls(schedule, name, n, times, seed):
+    # the tuner scores a site's candidates in one call with G times; each
+    # slice must be the call at its one time, bit for bit
+    model = _MULTI_MODELS[name](schedule)
+    x = np.random.default_rng(seed).standard_normal((n, model.dim)) * 2.0
+    t = np.array(times)
+    stacked = model.epsilon(x, t)
+    assert stacked.shape == (len(t), n, model.dim)
+    for g, tg in enumerate(times):
+        assert np.array_equal(stacked[g], model.epsilon(x, tg))
+    # a single point gives (G, D), as it gives (D,) at one time
+    assert np.array_equal(model.epsilon(x[0], t), model.epsilon(x[:1], t)[:, 0])
+
+
+def test_multi_time_shapes_rejected(gmm8_model):
+    with pytest.raises(DomainError):
+        gmm8_model.epsilon(np.zeros((3, 2)), np.full((2, 2), 10.0))
+    with pytest.raises(DomainError):
+        gmm8_model.epsilon(np.zeros((2, 3, 2)), 10.0)
+    with pytest.raises(DomainError, match=r"t must lie in \[0, "):
+        gmm8_model.epsilon(np.zeros((3, 2)), np.array([10.0, np.nan]))
 
 
 def test_responsibilities_sum_to_one(gmm8_model, rng):

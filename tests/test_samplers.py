@@ -18,6 +18,7 @@ from steptuner import (
     midpoint_time,
     sample_path,
 )
+from steptuner.samplers import step_constants
 from steptuner.trajectory import Trajectory, TunedTrajectory
 
 # Step coefficients for the pair of times with squared signal fractions
@@ -229,6 +230,14 @@ def test_step_domain_errors(gmm8_model, rng):
         dpm_solver2_step(x, 100.0, 0.5, 100.0, 50.0, gmm8_model)  # below t_eps
     with pytest.raises(DomainError):
         dpm_solver2_step(x, 100.0, 50.0, -1.0, 70.0, gmm8_model)
+    # candidate arrays: every time is checked, and one site at a time varies
+    with pytest.raises(DomainError):
+        ddim_step(x, 100.0, 50.0, np.array([80.0, 0.0]), gmm8_model)
+    with pytest.raises(DomainError):
+        dpm_solver2_step(x, 100.0, 50.0, np.array([90.0, 80.0]), np.array([70.0, 60.0]), gmm8_model)
+    with pytest.raises(ContractError):
+        ddim_step(x, 100.0, 50.0, 80.0, gmm8_model,
+                  consts=step_constants(gmm8_model.schedule, 100.0, 40.0))
 
 
 def test_rollout_kind_mismatch(gmm8_model, schedule, rng):

@@ -15,11 +15,14 @@ from steptuner import (
     SamplerConfig,
     StepLoss,
     TunerConfig,
+    baseline_tuned,
     diagnostic_loss_curves,
     make_trajectory,
     optimize_tau,
     tune,
 )
+from steptuner import tuner as tuner_module
+from steptuner.samplers import step
 from steptuner.trajectory import midpoint_time
 
 
@@ -145,6 +148,73 @@ def test_step_loss_common_random_numbers(gmm8_model, schedule, eta):
         assert loss.denoising(probe) == StepLoss(*args).denoising(probe)
 
 
+def _scalar_loss(loss, taus):
+    """The loss at one site tuple, stepped and scored one candidate at a time."""
+    model = loss.model
+    y = step(loss.state, loss.t_from, loss.t_to, taus, model, loss.sampler, loss.step_noise)
+    d = model.epsilon(y, max(loss.t_to, model.schedule.t_eps)) - loss.target
+    per_row = np.sum(d * d, axis=1)
+    n = len(per_row)
+    stderr = float(per_row.std(ddof=1) / sqrt(n)) if n > 1 else 0.0
+    return float(per_row.mean()), stderr
+
+
+@pytest.mark.parametrize(
+    "kind, eta, site, prefixed",
+    [
+        ("ddim-family", 0.0, 0, False),
+        ("ddim-family", 0.0, 0, True),
+        ("ddim-family", 0.7, 0, False),
+        ("ddim-family", 0.7, 0, True),
+        ("dpm-solver-2", 0.0, 0, False),
+        ("dpm-solver-2", 0.0, 0, True),
+        ("dpm-solver-2", 0.0, 1, False),
+        ("dpm-solver-2", 0.0, 1, True),
+    ],
+)
+@pytest.mark.parametrize("batch", [1, 3000])
+def test_batched_site_scores_equal_per_candidate_scores(
+    gmm8_model, schedule, kind, eta, site, prefixed, batch
+):
+    # batch 3000 makes passes of two candidates, so seven candidates take
+    # four passes, the last one short; a one-row batch must match too
+    traj = make_trajectory("quadratic", 5, schedule, t_min=schedule.t_eps)
+    sampler = SamplerConfig(kind=kind, eta=eta, seed=4)
+    untuned = baseline_tuned(traj, schedule, kind)
+    i = 3
+    # conditioning times held off their untuned values
+    prefix = [tuple(untuned.taus_for_step(k) - 20.0) for k in (5, 4)] if prefixed else None
+    held = list(untuned.taus_for_step(i) - 9.0)
+    loss = StepLoss(i, traj, gmm8_model, sampler, batch=batch, seed=6, prefix=prefix)
+    values = np.linspace(traj.points[i - 1], traj.points[i], 7)
+    estimates = loss.site(site, held)(values)
+    assert len(estimates) == 7
+    for value, est in zip(values, estimates):
+        probe = list(held)
+        probe[site] = value
+        assert (est.value, est.stderr) == _scalar_loss(loss, probe)
+        assert est == loss(tuple(probe))
+
+
+def _per_point(loss, bounds, coarse_grid=33, tol=0.01, scan=None):
+    return optimize_tau(loss, bounds, coarse_grid, tol)
+
+
+@pytest.mark.parametrize("kind, strategy", [
+    ("ddim-family", "sequential"), ("ddim-family", "parallel"),
+    ("dpm-solver-2", "sequential"), ("dpm-solver-2", "parallel"),
+])
+def test_tune_records_same_when_grid_scanned_per_point(gmm8_model, schedule, monkeypatch, kind, strategy):
+    traj = make_trajectory("quadratic", 4, schedule, t_min=schedule.t_eps)
+    cfg = TunerConfig(strategy=strategy, batch=3000, coarse_grid=9, refine_tol=0.5, seed=2)
+    sampler = SamplerConfig(kind=kind)
+    batched = tune(cfg, traj, sampler, gmm8_model)
+    monkeypatch.setattr(tuner_module, "optimize_tau", _per_point)
+    per_point = tune(cfg, traj, sampler, gmm8_model)
+    assert np.array_equal(batched[0].taus, per_point[0].taus)
+    assert batched[1] == per_point[1]
+
+
 def test_optimizer_quadratic_recovery():
     tau_star, val, flag = optimize_tau(lambda t: (t - 370.0) ** 2, (0.0, 1000.0), 33, 0.01)
     assert abs(tau_star - 370.0) <= 0.01
@@ -256,12 +326,28 @@ def test_tune_dominance_and_record_shape(gmm8_model, schedule):
         assert r.loss_tuned <= r.loss_baseline
         assert r.stderr >= 0.0
         assert r.t_site == traj.points[r.step]
+        # a step that keeps its untuned time says so; any other step beat it
+        assert r.fell_back == (r.loss_tuned == r.loss_baseline)
+        assert r.tau == r.t_site or not r.fell_back
+        # the grid, at least one golden-section probe, and the refined point
+        assert r.n_evals >= cfg.coarse_grid + 2
     for tau, (lo, hi) in zip(tuned.taus, tuned.bounds):
         assert lo - 1e-9 <= tau <= hi + 1e-9
     # step-ascending bounds alignment with the interval mode
     for i in range(1, 7):
         lo, hi = tuned.bounds[i - 1]
         assert hi == traj.points[i]
+
+
+def test_tune_fallback_is_recorded(gmm8_model, schedule):
+    # at this seed no candidate beats the untuned time of step 2
+    traj = make_trajectory("quadratic", 10, schedule)
+    cfg = TunerConfig(batch=512, coarse_grid=17, refine_tol=0.1, seed=1)
+    tuned, records = tune(cfg, traj, SamplerConfig(), gmm8_model)
+    assert [r.step for r in records if r.fell_back] == [2]
+    r = records[1]
+    assert (r.tau, r.loss_tuned, r.boundary) == (r.t_site, r.loss_baseline, False)
+    assert tuned.taus[1] == traj.points[2]
 
 
 def test_tune_rerun_identity(gmm8_model, schedule):
