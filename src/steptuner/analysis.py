@@ -217,29 +217,42 @@ def sliced_wasserstein(
     seed: int = 0,
 ) -> float:
     """Mean 1-D 2-Wasserstein distance over random unit projections."""
-    a = np.atleast_2d(np.asarray(samples_a, dtype=float))
+    return _sliced_wasserstein_many([samples_a], samples_b, n_projections, seed)[0]
+
+
+def _sliced_wasserstein_many(sets: list, samples_b, n_projections: int, seed: int) -> list:
+    """sliced_wasserstein of each sample set in sets against samples_b.
+
+    samples_b is projected and sorted once per chunk of directions, for all
+    the sets; each value equals the call on its one set bitwise.
+    """
+    sets = [np.atleast_2d(np.asarray(a, dtype=float)) for a in sets]
     b = np.atleast_2d(np.asarray(samples_b, dtype=float))
-    if a.shape[0] == 0 or b.shape[0] == 0:
+    if b.shape[0] == 0 or any(a.shape[0] == 0 for a in sets):
         raise DomainError("sample sets must be non-empty")
-    D = a.shape[1]
+    D = b.shape[1]
     rng = derive_rng(seed, PURPOSE_PROJ, 0, 0)
     dirs = rng.standard_normal((n_projections, D))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    m = max(a.shape[0], b.shape[0])
-    q = (np.arange(m) + 0.5) / m
     # inverted-CDF quantiles at the midpoint levels via one sort per column;
     # identical values to np.quantile(..., method="inverted_cdf") but without
     # its per-level cost, which is prohibitive for large m
-    ia = np.clip(np.ceil(q * a.shape[0]).astype(int) - 1, 0, a.shape[0] - 1)
-    ib = np.clip(np.ceil(q * b.shape[0]).astype(int) - 1, 0, b.shape[0] - 1)
+    levels = []
+    for a in sets:
+        m = max(a.shape[0], b.shape[0])
+        q = (np.arange(m) + 0.5) / m
+        ia = np.clip(np.ceil(q * a.shape[0]).astype(int) - 1, 0, a.shape[0] - 1)
+        ib = np.clip(np.ceil(q * b.shape[0]).astype(int) - 1, 0, b.shape[0] - 1)
+        levels.append((ia, ib))
     # a chunk of directions at a time keeps the (rows, directions) arrays small
-    w2 = np.empty(n_projections)
+    w2 = np.empty((len(sets), n_projections))
     for c in range(0, n_projections, _PROJ_CHUNK):
         d = dirs[c : c + _PROJ_CHUNK]
-        qa = np.sort(a @ d.T, axis=0)[ia]
-        qb = np.sort(b @ d.T, axis=0)[ib]
-        w2[c : c + len(d)] = np.sqrt(np.mean((qa - qb) ** 2, axis=0))
-    return float(w2.mean())
+        sorted_b = np.sort(b @ d.T, axis=0)
+        for w, a, (ia, ib) in zip(w2, sets, levels):
+            qa = np.sort(a @ d.T, axis=0)[ia]
+            w[c : c + len(d)] = np.sqrt(np.mean((qa - sorted_b[ib]) ** 2, axis=0))
+    return [float(w.mean()) for w in w2]
 
 
 def evaluate_samples(
@@ -249,23 +262,30 @@ def evaluate_samples(
     n_projections: int = 128,
 ) -> EvalReport:
     """Bundle of distribution metrics for generated samples against data."""
-    g = np.atleast_2d(generated)
+    return _evaluate_many([generated], data, seed, n_projections)[0]
+
+
+def _evaluate_many(sets: list, data: np.ndarray, seed: int, n_projections: int) -> list:
+    """evaluate_samples of each generated set against the one data set."""
     d = np.atleast_2d(data)
-    mean_delta = float(np.linalg.norm(g.mean(axis=0) - d.mean(axis=0)))
-    cov_delta = float(
-        np.linalg.norm(
-            np.atleast_2d(np.cov(g, rowvar=False)) - np.atleast_2d(np.cov(d, rowvar=False))
+    d_mean = d.mean(axis=0)
+    d_cov = np.atleast_2d(np.cov(d, rowvar=False))
+    reports = []
+    for g, sw in zip(sets, _sliced_wasserstein_many(sets, d, n_projections, seed)):
+        g = np.atleast_2d(g)
+        cov_delta = np.linalg.norm(np.atleast_2d(np.cov(g, rowvar=False)) - d_cov)
+        reports.append(
+            EvalReport(
+                frechet=frechet_distance(g, d),
+                sliced_wasserstein=sw,
+                mean_delta=float(np.linalg.norm(g.mean(axis=0) - d_mean)),
+                cov_delta=float(cov_delta),
+                n_a=g.shape[0],
+                n_b=d.shape[0],
+                seed=seed,
+            )
         )
-    )
-    return EvalReport(
-        frechet=frechet_distance(g, d),
-        sliced_wasserstein=sliced_wasserstein(g, d, n_projections, seed),
-        mean_delta=mean_delta,
-        cov_delta=cov_delta,
-        n_a=g.shape[0],
-        n_b=d.shape[0],
-        seed=seed,
-    )
+    return reports
 
 
 def step_replacement_sweep(
@@ -292,11 +312,11 @@ def step_replacement_sweep(
     x_T = draw_start_states(model, n_samples, seed)
     data = model.sample_data(n_samples, seed + 1)
     rolled = sample_path(x_T, tuned, sampler, model)
-    reports = []
-    for j in range(traj.K, -1, -1):  # hybrid m = K - j leaves the tuned path at t_j
-        path = sample_path(rolled.state_at(j), base, sampler, model, start=j)
-        reports.append(evaluate_samples(path.states[-1], data, seed))
-    return reports
+    finals = [  # hybrid m = K - j leaves the tuned path at t_j
+        sample_path(rolled.state_at(j), base, sampler, model, start=j).states[-1].copy()
+        for j in range(traj.K, -1, -1)
+    ]
+    return _evaluate_many(finals, data, seed, 128)
 
 
 def error_bound_report(

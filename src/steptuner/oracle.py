@@ -58,22 +58,32 @@ class GaussianMixtureOracle:
             raise DomainError("scales: must all be positive")
         if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise DomainError("weights: must be positive and sum to 1")
-        # per-model constants of every evaluation, as (k, 1) columns
-        object.__setattr__(self, "_log_weights", np.log(weights)[:, None])
-        object.__setattr__(self, "_scales_sq", (scales**2)[:, None])
+        # per-model constants of every evaluation
+        D = means.shape[1]
+        object.__setattr__(self, "_log_norms", np.log(weights) - (0.5 * D) * np.log(2.0 * np.pi))
+        object.__setattr__(self, "_scales_sq", scales**2)
+        object.__setattr__(self, "_half_means_sq", 0.5 * np.einsum("kd,kd->k", means, means))
 
     @property
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _log_weighted_densities(self, x: np.ndarray, t) -> tuple:
-        """x as (n, D), the (k, n) log(w_k N(x; alpha mu_k, v_k I)), alpha mu, v, sigma.
+    def _logits(self, x: np.ndarray, t) -> tuple:
+        """(g, X, C, sigma, n): the (k, n) logits log(w_k N(x; alpha mu_k, v_k I)) as one matmul.
 
-        Component-major, so reductions over components run along contiguous rows, and
-        ||x - a mu_k||^2 = ||x||^2 - 2 a mu_k . x + ||a mu_k||^2 needs no (n, k, D) tensor.
-        t may also be a 1-D array of G times: alpha and sigma broadcast as (G, 1, 1),
-        every other array gains a leading axis of G, and each slice equals the
-        evaluation at its one time bitwise.
+        With v_k = alpha^2 c_k^2 + sigma^2, ||x - alpha mu_k||^2 expands to
+        ||x||^2 - 2 alpha mu_k . x + alpha^2 ||mu_k||^2, so the logits are
+        g = A @ X for the (D + 2, n) array X = [1; x^T; -||x||^2 / 2] and A's
+        row k = [log w_k - (D/2) log(2 pi v_k) - alpha^2 ||mu_k||^2 / (2 v_k),
+        alpha mu_k / v_k, 1 / v_k]. B's row k = [alpha mu_k / v_k, 1 / v_k, 1]
+        gives the posterior moments as B^T @ exp(g). A and B are the first and
+        last D + 2 columns of the one (k, D + 3) array C. The arrays are
+        component-major, so reductions over components run along contiguous
+        rows. A one-row x is evaluated as that row twice, because numpy's
+        matrix-vector kernel rounds differently from its matrix-matrix one; n
+        is the caller's row count. t may also be a 1-D array of G times: C and
+        g gain a leading axis of G, sigma becomes (G, 1), and each slice equals
+        the evaluation at its one time bitwise.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.ndim != 2:
@@ -84,47 +94,65 @@ class GaussianMixtureOracle:
         if isinstance(alpha, np.ndarray):  # G times
             if alpha.ndim != 1:
                 raise DomainError(f"t: need one time or a 1-D array, got shape {alpha.shape}")
-            alpha, sigma = alpha[:, None, None], sigma[:, None, None]
-        v = alpha * alpha * self._scales_sq + sigma * sigma  # (k, 1) or (G, k, 1)
-        am = alpha * self.means  # (k, D) or (G, k, D)
-        logn = (-2.0 * am) @ x.T  # (k, n) or (G, k, n); scaling by -2 is exact
-        logn += np.einsum("nd,nd->n", x, x)
-        logn += np.einsum("...kd,...kd->...k", am, am)[..., None]
-        logn *= -0.5 / v
-        logn += self._log_weights - 0.5 * self.dim * np.log(2.0 * np.pi * v)
-        return x, logn, am, v, sigma
+            alpha, sigma = alpha[:, None], sigma[:, None]
+        n, D = x.shape
+        v = self._scales_sq * (alpha * alpha) + sigma * sigma  # (k,) or (G, k)
+        C = np.empty(v.shape + (D + 3,))
+        inv_v = np.divide(1.0, v, out=C[..., D + 1])
+        np.multiply(self.means, (alpha * inv_v)[..., None], out=C[..., 1 : D + 1])
+        C[..., 0] = (
+            self._log_norms - (0.5 * D) * np.log(v) - (alpha * alpha * inv_v) * self._half_means_sq
+        )
+        C[..., D + 2] = 1.0
+        X = np.empty((D + 2, 2 if n == 1 else n))
+        X[0] = 1.0
+        X[1 : D + 1] = x.T
+        np.einsum("dn,dn->n", X[1 : D + 1], X[1 : D + 1], out=X[D + 1])
+        X[D + 1] *= -0.5
+        return C[..., : D + 2] @ X, X, C, sigma, n
 
     @staticmethod
-    def _normalise(logn: np.ndarray) -> tuple:
-        """Posterior probabilities from (..., k, n) log weights, in place; also max and sum."""
-        m = logn.max(axis=-2)
-        logn -= m[..., None, :]
-        np.exp(logn, out=logn)
-        total = logn.sum(axis=-2)
-        logn /= total[..., None, :]
-        return logn, m, total
+    def _exp_shifted(g: np.ndarray) -> np.ndarray:
+        """exp(g - max_k g) in place; returns the (..., n) column maxima."""
+        m = g.max(axis=-2)
+        g -= m[..., None, :]
+        np.exp(g, out=g)
+        return m
 
     def responsibilities(self, x: np.ndarray, t) -> np.ndarray:
         """(n, k) posterior component probabilities, stable in log space."""
-        return self._normalise(self._log_weighted_densities(x, t)[1])[0].swapaxes(-1, -2)
+        g, _, _, _, n = self._logits(x, t)
+        self._exp_shifted(g)
+        g /= g.sum(axis=-2)[..., None, :]
+        return g[..., :n].swapaxes(-1, -2)
 
     def log_density(self, x: np.ndarray, t) -> np.ndarray:
         """log q_t(x) via log-sum-exp over components."""
-        squeeze = np.asarray(x).ndim == 1
-        _, m, total = self._normalise(self._log_weighted_densities(x, t)[1])
-        out = m + np.log(total)
-        return float(out[0]) if squeeze else out
+        g, _, _, _, n = self._logits(x, t)
+        out = (self._exp_shifted(g) + np.log(g.sum(axis=-2)))[..., :n]
+        return float(out[0]) if np.asarray(x).ndim == 1 else out
 
-    def _score_sigma(self, x: np.ndarray, t) -> tuple:
-        """(score, sigma_t): sum_k g_k (a mu_k - x) / v_k = (g / v)^T @ a mu - x sum_k g_k / v_k."""
-        x, gv, am, v, sigma = self._log_weighted_densities(x, t)
-        self._normalise(gv)
-        gv /= v
-        out = gv.swapaxes(-1, -2) @ am
-        weight = gv.sum(axis=-2)[..., None]
-        del gv  # free the (k, n) array before the last (n, D) temporary
-        out -= x * weight
-        return out, sigma
+    def _score(self, x: np.ndarray, t, times_sigma: bool) -> np.ndarray:
+        """The (n, D) score, or -sigma times it, from the moments M = B^T @ exp(g - max g).
+
+        M stacks sum_k g_k alpha mu_k / v_k, sum_k g_k / v_k and sum_k g_k, so
+        the score sum_k r_k (alpha mu_k - x) / v_k for responsibilities
+        r = g / sum_k g_k is (M[:D] - x^T M[D]) / M[D + 1]: the (k, n) array
+        is never divided, only the (n, D) result, once.
+        """
+        g, X, C, sigma, n = self._logits(x, t)
+        D = self.dim
+        self._exp_shifted(g)
+        M = C[..., 1:].swapaxes(-1, -2) @ g
+        del g  # free the (k, n) array before the (D, n) temporaries
+        s = M[..., :D, :]
+        s -= X[1 : D + 1] * M[..., D : D + 1, :]
+        scale = (-sigma if times_sigma else 1.0) / M[..., D + 1, :]
+        # written through a transposed view into a C-contiguous (n, D) array:
+        # returning the transposed view itself slows every elementwise consumer
+        out = np.empty(s.shape[:-2] + (s.shape[-1], D))
+        np.multiply(s, scale[..., None, :], out=out.swapaxes(-1, -2))
+        return out[..., :n, :]
 
     @staticmethod
     def _like(x, out: np.ndarray) -> np.ndarray:
@@ -133,18 +161,17 @@ class GaussianMixtureOracle:
 
     def score(self, x: np.ndarray, t) -> np.ndarray:
         """Gradient of log q_t at x: responsibility-weighted Gaussian pulls."""
-        return self._like(x, self._score_sigma(x, t)[0])
+        return self._like(x, self._score(x, t, times_sigma=False))
 
     def epsilon(self, x: np.ndarray, t) -> np.ndarray:
         """Ideal noise prediction: -sigma_t times the score at (x, t).
 
         x is one (n, D) batch of points. t is one time, giving (n, D), or a
         1-D array of G times, giving the (G, n, D) predictions at each; a
-        slice equals the call at its one time bitwise.
+        slice equals the call at its one time bitwise. Each row equals the
+        call on that row alone bitwise.
         """
-        out, sigma = self._score_sigma(x, t)
-        out *= -sigma
-        return self._like(x, out)
+        return self._like(x, self._score(x, t, times_sigma=True))
 
     def draw(self, n: int, key, extra: int = 0) -> tuple:
         """n data rows plus ``extra`` standard normal vectors per row.

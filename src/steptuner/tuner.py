@@ -138,13 +138,6 @@ def _consistency(
 _PASS_ROWS = 8192
 
 
-def _candidates_per_pass(batch: int) -> int:
-    # A one-row batch goes one candidate per pass: matmul takes another BLAS
-    # kernel for a single row than for several, which rounds differently, so
-    # stacking one-row candidates would move their losses in the last bits.
-    return max(1, _PASS_ROWS // batch) if batch > 1 else 1
-
-
 class StepLoss:
     """Consistency loss of step i on one frozen batch, scored per candidate.
 
@@ -204,7 +197,7 @@ class StepLoss:
     def _scores(self, stepped, values, *targets: np.ndarray) -> list:
         """Per target, the estimates of every candidate value, in stacked passes."""
         values = np.asarray(values, dtype=float)
-        per_pass = _candidates_per_pass(self.batch)
+        per_pass = max(1, _PASS_ROWS // self.batch)
         out = [[] for _ in targets]
         for start in range(0, len(values), per_pass):
             chunk = values[start : start + per_pass]

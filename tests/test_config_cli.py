@@ -274,6 +274,19 @@ def test_cli_sample_empty_request(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_sample_one_row_is_row_zero_of_two(tmp_path, capsys):
+    # the one-row rollout goes through the same oracle kernel as a batch
+    cfg = str(Path(__file__).parent.parent / "configs" / "gmm8.json")
+    rows = {}
+    for n in ("1", "2"):
+        out = tmp_path / f"s{n}.csv"
+        assert cli.main(["sample", "--config", cfg, "--out", str(out), "--n", n]) == 0
+        rows[n] = out.read_text().splitlines()
+    assert len(rows["1"]) == 1 and len(rows["2"]) == 2
+    assert rows["1"][0] == rows["2"][0]
+    capsys.readouterr()
+
+
 def test_cli_sample_seed_override_changes_output(tmp_path, capsys):
     cfg = _small_cfg(tmp_path)
     a = tmp_path / "sa.csv"

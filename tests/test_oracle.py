@@ -132,6 +132,64 @@ def test_multi_time_epsilon_slices_equal_scalar_calls(schedule, name, n, times, 
     assert np.array_equal(model.epsilon(x[0], t), model.epsilon(x[:1], t)[:, 0])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_MULTI_MODELS)),
+    n=st.integers(min_value=5, max_value=3000),
+    t=st.floats(min_value=0.0, max_value=1000.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_rows_do_not_depend_on_the_batch(schedule, name, n, t, seed):
+    # a row's prediction is the same alone, in a prefix of the batch and in
+    # the whole batch, bit for bit; a one-row batch included, which numpy's
+    # matrix-vector kernel would round differently
+    model = _MULTI_MODELS[name](schedule)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, model.dim)) * 2.0
+    full = model.epsilon(x, t)
+    for m in (1, 2, 3, 4):
+        assert np.array_equal(model.epsilon(x[:m], t), full[:m]), m
+    j = int(rng.integers(n))
+    assert np.array_equal(model.epsilon(x[j], t), full[j])
+    assert np.array_equal(model.epsilon(x[j : j + 1], t), full[j : j + 1])
+
+
+def _random_mixture(schedule, rng, k, D):
+    """k components in D dimensions with unequal log-uniform scales and weights."""
+    weights = rng.uniform(0.05, 1.0, k)
+    return GaussianMixtureOracle(
+        schedule=schedule,
+        means=rng.standard_normal((k, D)) * rng.uniform(0.0, 3.0),
+        scales=np.exp(rng.uniform(np.log(0.02), np.log(2.0), k)),
+        weights=weights / weights.sum(),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=6),
+    D=st.integers(min_value=1, max_value=5),
+    radius=st.floats(min_value=0.0, max_value=10.0),
+    t=st.one_of(st.sampled_from(["t_eps", 0.0, 1000.0]), st.floats(0.0, 1000.0)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_logit_and_moment_matmuls_match_direct_formula(schedule, k, D, radius, t, seed):
+    # the -||x||^2 / 2 row of X only cancels in the normalisation when every
+    # component has the same variance, so unequal scales exercise it
+    t = schedule.t_eps if t == "t_eps" else t
+    rng = np.random.default_rng(seed)
+    model = _random_mixture(schedule, rng, k, D)
+    x = rng.standard_normal((32, D))
+    x *= rng.uniform(0.0, radius, (32, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    direct = mixture_posterior(model, x, t)
+    for method in METHODS:
+        want = direct[method]
+        got = getattr(model, method)(x, t)
+        scale = np.max(np.abs(want))
+        err = np.max(np.abs(got - want))
+        assert err <= 1e-10 * scale, (method, err / scale)
+
+
 def test_multi_time_shapes_rejected(gmm8_model):
     with pytest.raises(DomainError):
         gmm8_model.epsilon(np.zeros((3, 2)), np.full((2, 2), 10.0))
