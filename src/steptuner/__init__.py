@@ -59,49 +59,3 @@ from .tuner import (
     optimize_tau,
     tune,
 )
-
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "ContractError",
-    "DomainError",
-    "EvalReport",
-    "ExperimentConfig",
-    "GapReport",
-    "GaussianMixtureOracle",
-    "LossEstimate",
-    "NoiseSchedule",
-    "NumericError",
-    "SamplePath",
-    "SamplerConfig",
-    "StepLoss",
-    "StepTunerError",
-    "Trajectory",
-    "TuneRecord",
-    "TunedTrajectory",
-    "TunerConfig",
-    "baseline_tuned",
-    "ddim_step",
-    "ddim_step_baseline",
-    "diagnostic_loss_curves",
-    "dpm_solver2_step",
-    "draw_start_states",
-    "error_bound_report",
-    "evaluate_samples",
-    "frechet_distance",
-    "gap_profile",
-    "generate_paths",
-    "gmm8",
-    "load_config",
-    "make_trajectory",
-    "midpoint_time",
-    "optimize_tau",
-    "reference_path",
-    "sample_path",
-    "sliced_wasserstein",
-    "standard_gaussian",
-    "step_replacement_sweep",
-    "tune",
-    "tuned_from_json",
-    "tuned_to_json",
-]

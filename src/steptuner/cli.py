@@ -26,7 +26,7 @@ from .analysis import (
     reference_path,
     step_replacement_sweep,
 )
-from .config import ExperimentConfig, Seeds, load_config
+from .config import ExperimentConfig, Seeds, load_config, read_json
 from .errors import ConfigError, ContractError, StepTunerError
 from .trajectory import baseline_tuned, tuned_from_json, tuned_to_json
 from .tuner import tune as run_tune
@@ -89,13 +89,9 @@ def _require_n(args, least: int) -> None:
 def _load_tuned(args, traj, schedule, sampler):
     if args.tuned is None:
         return baseline_tuned(traj, schedule, sampler.kind), False
-    path = Path(args.tuned)
-    if not path.exists():
-        raise ConfigError(f"tuned file not found: {path}")
+    path = args.tuned
     try:
-        tuned = tuned_from_json(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"tuned file {path} is not valid JSON: {exc}") from exc
+        tuned = tuned_from_json(read_json(path, "tuned"))
     except KeyError as exc:
         raise ConfigError(f"tuned file {path} lacks key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -159,12 +159,19 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def read_json(path, what: str):
+    """The JSON document in the file at path. A file that is missing,
+    unreadable, not UTF-8 or not JSON raises a ConfigError naming it."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
+        return json.loads(p.read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} file not found: {p}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} file {p} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+        raise ConfigError(f"{what} file {p} is not valid JSON: {exc}") from exc
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(read_json(path, "config"))

@@ -300,17 +300,3 @@ def sample_path(
         x = step(x, pts[i], pts[i - 1], tuned.taus_for_step(i), model, sampler, noise)
         states[K - i + 1] = x
     return SamplePath(states=states, trajectory_points=pts)
-
-
-__all__ = [
-    "SamplerConfig",
-    "SamplePath",
-    "StepConstants",
-    "ddim_step",
-    "ddim_step_baseline",
-    "dpm_solver2_step",
-    "sample_path",
-    "site_step",
-    "step",
-    "step_constants",
-]

@@ -145,8 +145,10 @@ def tuned_to_json(tuned: TunedTrajectory, schedule: NoiseSchedule) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def tuned_from_json(text: str) -> TunedTrajectory:
-    doc = json.loads(text)
+def tuned_from_json(doc) -> TunedTrajectory:
+    """The TunedTrajectory in tuned_to_json's text, or in its parsed document."""
+    if isinstance(doc, str):
+        doc = json.loads(doc)
     traj = Trajectory(
         points=np.asarray(doc["trajectory"]["points"], dtype=float),
         kind=doc["trajectory"]["kind"],

@@ -21,15 +21,16 @@ every candidate tau. Minimization is a coarse grid scan followed by
 golden-section refinement; the untuned time is always a candidate, so the
 tuned loss can never exceed the baseline loss under the training batch.
 
-The grid's candidates are independent, so they are scored together: the
-oracle takes one state and G times in one call, the solver step
-broadcasts over those G times, and the consistency prediction runs on the
-stacked G n rows. A pass stacks at most ``_PASS_ROWS`` = 8192 rows
-(max(1, 8192 // batch) candidates), which bounds the memory a pass holds;
-each estimate equals the candidate's own evaluation bitwise. The
-golden-section probes are scored one at a time, through the same code.
-With the first site of a two-evaluation step held, its stage-1 state is
-computed once for the whole search of the second site.
+Every candidate is scored by one path, ``StepLoss.site``: the oracle
+takes one state and G times in one call, the solver step broadcasts over
+those G times, and the consistency prediction runs on the stacked G n
+rows. The search hands it the whole coarse grid at once and each
+golden-section probe as a one-element array. A pass stacks at most
+``_PASS_ROWS`` = 8192 rows (max(1, 8192 // batch) candidates), which
+bounds the memory a pass holds; each estimate equals the candidate's own
+evaluation bitwise. With the first site of a two-evaluation step held,
+its stage-1 state is computed once for the whole search of the second
+site.
 """
 
 from __future__ import annotations
@@ -149,9 +150,9 @@ class StepLoss:
     per step; the states are then forward samples at t_K rolled through
     those steps.
     ``site(idx, taus)`` scores many candidate times of one evaluation site
-    at once; calling the object with one site tuple scores that tuple. Both
-    score the step from t_i to t_{i-1} on the same batch every time, with
-    the step's schedule constants built once, here.
+    at once, the step from t_i to t_{i-1} on the same batch every time,
+    with the step's schedule constants built once, here. Calling the
+    object with one site tuple scores that tuple through ``site``.
     """
 
     def __init__(
@@ -222,53 +223,42 @@ class StepLoss:
         )
         return lambda values: self._scores(stepped, values, self.target)[0]
 
-    def _one(self, taus: Sequence[float], *targets: np.ndarray) -> list:
-        stepped = site_step(
-            self.state, self.consts, taus, 0, self.model, self.sampler, self.step_noise
-        )
-        return [est for (est,) in self._scores(stepped, [taus[0]], *targets)]
-
     def __call__(self, taus: Sequence[float]) -> LossEstimate:
-        return self._one(taus, self.target)[0]
+        return self.site(0, taus)([taus[0]])[0]
 
     def _true_noise(self) -> np.ndarray:
+        """The batch's true noise, the denoising target of the diagnostic."""
         alpha_i, sigma_i = self.model.schedule.alpha_sigma(self.t_from)
         return (self.state - alpha_i * self.x0) / sigma_i
 
-    def denoising(self, taus: Sequence[float]) -> LossEstimate:
-        """Same stepped state scored against the batch's true noise.
-
-        Diagnostic companion to the consistency loss; meaningful when the
-        state is an exact forward sample, where the true noise is the
-        posterior target the model itself regresses to.
-        """
-        return self._one(taus, self._true_noise())[0]
-
-    def both(self, taus: Sequence[float]) -> tuple:
-        """(consistency, denoising) estimates from one step and one model call."""
-        return tuple(self._one(taus, self.target, self._true_noise()))
-
 
 def optimize_tau(
-    loss: Callable[[float], float],
+    losses: Callable[[np.ndarray], Sequence[float]],
     bounds: tuple,
     coarse_grid: int = 33,
     tol: float = 0.01,
-    scan: Optional[Callable[[np.ndarray], Sequence[float]]] = None,
 ) -> tuple:
     """Scalar minimization: coarse grid scan, then golden-section refinement.
 
-    Returns (tau_star, loss_at_star, boundary_flag); the flag is set when
-    the minimum sits on an end of the search interval. The loss callable
-    must be deterministic (frozen common random numbers). scan, when
-    given, maps the whole coarse grid to its losses in one call and must
-    agree with loss at every point; the refinement always calls loss.
+    losses maps a 1-D array of times to their losses and must be
+    deterministic (frozen common random numbers). The whole grid goes
+    through it in one call, each refinement probe as a one-element array.
+    The refinement stops once the bracket is no wider than tol, or once
+    floats cannot split it further. Returns (tau_star, loss_at_star,
+    boundary_flag); the flag is set when the minimum sits on an end of the
+    search interval.
     """
     lo, hi = bounds
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got ({lo}, {hi})")
+    if coarse_grid < 2:
+        raise DomainError(f"coarse_grid: must be >= 2, got {coarse_grid}")
+
+    def loss(tau):
+        return losses(np.array([tau]))[0]
+
     grid = np.linspace(lo, hi, coarse_grid)
-    vals = np.array(scan(grid) if scan is not None else [loss(g) for g in grid], dtype=float)
+    vals = np.array(losses(grid), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = grid[~np.isfinite(vals)][0]
         raise NumericError(f"non-finite loss at tau = {bad}")
@@ -278,7 +268,7 @@ def optimize_tau(
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = loss(c), loss(d)
-    while b - a > tol:
+    while b - a > tol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -342,7 +332,7 @@ def tune(
         for site_idx in range(per_step):
             scores = loss.site(site_idx, sites)
 
-            def site_scan(values):
+            def site_losses(values):
                 estimates = scores(values)
                 for value, est in zip(values, estimates):
                     probe = list(sites)
@@ -352,8 +342,7 @@ def tune(
                 return [est.value for est in estimates]
 
             tau_star, _, flag = optimize_tau(
-                lambda tau: site_scan([tau])[0], (lo, hi), cfg.coarse_grid,
-                cfg.refine_tol, scan=site_scan,
+                site_losses, (lo, hi), cfg.coarse_grid, cfg.refine_tol
             )
             sites[site_idx] = tau_star
             flags.append(flag)
@@ -404,12 +393,13 @@ def diagnostic_loss_curves(
 
     Both curves score the same frozen batch of exact forward samples at
     t_i, where the denoising target is the batch's true noise, over the
-    interval (max(t_{i-1}, t_eps), t_i).
+    interval (max(t_{i-1}, t_eps), t_i). The grid goes through the tuner's
+    stacked passes once: one step and one prediction serve both targets.
     """
     loss = StepLoss(i, traj, model, batch=batch, seed=seed)
     lo, hi = _search_bounds("interval", traj, i, model.schedule.t_eps)
     grid = np.linspace(lo, hi, n_grid)
-    pairs = [loss.both((g,)) for g in grid]
-    consistency = np.array([c.value for c, _ in pairs])
-    denoising = np.array([d.value for _, d in pairs])
+    stepped = site_step(loss.state, loss.consts, (hi,), 0, model, loss.sampler)
+    curves = loss._scores(stepped, grid, loss.target, loss._true_noise())
+    consistency, denoising = (np.array([e.value for e in c]) for c in curves)
     return {"tau_grid": grid, "consistency": consistency, "denoising": denoising}

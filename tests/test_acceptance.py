@@ -165,12 +165,12 @@ def test_c05_optimizer_behaviour(gmm8_model, traj10):
 
     loss = StepLoss(i, traj10, gmm8_model, batch=1024, seed=0)
 
-    def f(tau):
-        return loss((tau,)).value
+    def f(taus):
+        return [e.value for e in loss.site(0, (hi,))(taus)]
 
     tau_star, _, _ = optimize_tau(f, (lo, hi), 33, 0.01)
     dense = np.linspace(lo, hi, 1001)
-    vals = np.array([f(t) for t in dense])
+    vals = np.array(f(dense))
     cell = (hi - lo) / 1000.0
     grid_gap = abs(tau_star - dense[int(vals.argmin())])
 

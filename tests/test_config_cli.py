@@ -408,6 +408,22 @@ def test_cli_malformed_tuned_file_exits_2(tmp_path, capsys):
         assert "bad_tuned.json" in err and "Traceback" not in err, err
 
 
+def test_cli_unreadable_config_or_tuned_file_exits_2(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path)
+    folder = tmp_path / "folder.json"
+    folder.mkdir()
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"out_dir": "caf\xe9"}')
+    for flag in ("--config", "--tuned"):
+        for bad in (folder, latin1):
+            argv = ["sample", "--n", "4", flag, str(bad)]
+            if flag == "--tuned":
+                argv += ["--config", cfg]
+            assert cli.main(argv) == 2, (flag, bad.name)
+            err = capsys.readouterr().err
+            assert bad.name in err and "Traceback" not in err, err
+
+
 def test_cli_rejects_bad_flag_values(tmp_path, capsys):
     cfg = _small_cfg(tmp_path)
     assert cli.main(["sample", "--config", cfg, "--n", "-1"]) == 2

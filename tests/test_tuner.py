@@ -1,6 +1,10 @@
 """Tuning losses and search: closed forms, CRN, dominance, determinism."""
 
+import os
+import subprocess
+import sys
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from steptuner import (
     optimize_tau,
     tune,
 )
+import steptuner
 from steptuner import tuner as tuner_module
 from steptuner.samplers import step
 from steptuner.trajectory import midpoint_time
@@ -145,14 +150,19 @@ def test_step_loss_common_random_numbers(gmm8_model, schedule, eta):
             loss((tau,))
         after, fresh = loss(probe), StepLoss(*args)(probe)
         assert (after.value, after.stderr) == (fresh.value, fresh.stderr)
-        assert loss.denoising(probe) == StepLoss(*args).denoising(probe)
+        again = StepLoss(*args)
+        assert _scalar_loss(loss, probe, loss._true_noise()) == _scalar_loss(
+            again, probe, again._true_noise()
+        )
 
 
-def _scalar_loss(loss, taus):
-    """The loss at one site tuple, stepped and scored one candidate at a time."""
+def _scalar_loss(loss, taus, target=None):
+    """The loss at one site tuple, stepped and scored one candidate at a time,
+    against target (by default the consistency target)."""
     model = loss.model
     y = step(loss.state, loss.t_from, loss.t_to, taus, model, loss.sampler, loss.step_noise)
-    d = model.epsilon(y, max(loss.t_to, model.schedule.t_eps)) - loss.target
+    target = loss.target if target is None else target
+    d = model.epsilon(y, max(loss.t_to, model.schedule.t_eps)) - target
     per_row = np.sum(d * d, axis=1)
     n = len(per_row)
     stderr = float(per_row.std(ddof=1) / sqrt(n)) if n > 1 else 0.0
@@ -196,8 +206,12 @@ def test_batched_site_scores_equal_per_candidate_scores(
         assert est == loss(tuple(probe))
 
 
-def _per_point(loss, bounds, coarse_grid=33, tol=0.01, scan=None):
-    return optimize_tau(loss, bounds, coarse_grid, tol)
+def _per_point(losses, bounds, coarse_grid=33, tol=0.01):
+    """optimize_tau with every candidate scored in a call of its own."""
+    def one_at_a_time(taus):
+        return [value for tau in taus for value in losses(np.array([tau]))]
+
+    return optimize_tau(one_at_a_time, bounds, coarse_grid, tol)
 
 
 @pytest.mark.parametrize("kind, strategy", [
@@ -213,6 +227,19 @@ def test_tune_records_same_when_grid_scanned_per_point(gmm8_model, schedule, mon
     per_point = tune(cfg, traj, sampler, gmm8_model)
     assert np.array_equal(batched[0].taus, per_point[0].taus)
     assert batched[1] == per_point[1]
+
+
+def test_optimizer_scores_grid_in_one_call_then_single_points():
+    calls = []
+
+    def losses(taus):
+        calls.append(np.array(taus))
+        return (np.asarray(taus) - 370.0) ** 2
+
+    optimize_tau(losses, (0.0, 1000.0), 33, 0.01)
+    assert np.array_equal(calls[0], np.linspace(0.0, 1000.0, 33))
+    assert len(calls) > 1
+    assert all(c.shape == (1,) for c in calls[1:])
 
 
 def test_optimizer_quadratic_recovery():
@@ -244,9 +271,36 @@ def test_optimizer_invalid_bounds():
         optimize_tau(lambda t: t, (5.0, 5.0), 9, 0.1)
 
 
+@pytest.mark.parametrize("coarse_grid", [-1, 0, 1])
+def test_optimizer_rejects_grid_below_two_points(coarse_grid):
+    with pytest.raises(DomainError, match="coarse_grid"):
+        optimize_tau(lambda t: t, (5.0, 50.0), coarse_grid, 0.1)
+    assert optimize_tau(lambda t: t, (5.0, 50.0), 2, 0.1)[0] == 5.0
+
+
+def test_refinement_ends_when_floats_cannot_split_the_bracket():
+    # a tolerance below the spacing of floats must not stall the search;
+    # run apart, so a regression fails on the timeout instead of hanging
+    code = """
+from steptuner import (
+    NoiseSchedule, SamplerConfig, TunerConfig, gmm8, make_trajectory, optimize_tau, tune,
+)
+for tol in (1e-20, 0.0, -1.0):
+    tau, _, _ = optimize_tau(lambda t: (t - 370.0) ** 2, (100.0, 900.0), 9, tol)
+    assert abs(tau - 370.0) < 1e-9, tau
+schedule = NoiseSchedule()
+model = gmm8(schedule)
+traj = make_trajectory("quadratic", 2, schedule)
+tune(TunerConfig(batch=64, refine_tol=1e-20), traj, SamplerConfig(), model)
+"""
+    src = str(Path(steptuner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
 def test_optimizer_nonfinite_loss_names_point():
     def f(t):
-        return np.nan if t > 500.0 else 1.0
+        return np.where(np.asarray(t) > 500.0, np.nan, 1.0)
 
     with pytest.raises(NumericError) as err:
         optimize_tau(f, (0.0, 1000.0), 9, 0.1)
@@ -273,8 +327,8 @@ def test_optimizer_finds_analytic_minimizer(standard_model, schedule):
 
     loss = StepLoss(i, traj, standard_model, batch=256, seed=1)
 
-    def f(tau):
-        return loss((tau,)).value
+    def f(taus):
+        return [e.value for e in loss.site(0, (t_from,))(taus)]
 
     tau_star, _, flag = optimize_tau(f, (t_to, t_from), 33, 0.01)
     assert abs(tau_star - tau_expected) <= 0.05
@@ -290,8 +344,8 @@ def test_optimizer_boundary_when_minimizer_infeasible(standard_model, schedule):
 
     loss = StepLoss(i, traj, standard_model, batch=256, seed=1)
 
-    def f(tau):
-        return loss((tau,)).value
+    def f(taus):
+        return [e.value for e in loss.site(0, (t_from,))(taus)]
 
     tau_star, _, flag = optimize_tau(f, (t_to, t_from), 33, 0.01)
     assert tau_star == t_to
@@ -305,12 +359,12 @@ def test_optimizer_matches_dense_grid_on_mixture(gmm8_model, schedule):
 
     loss = StepLoss(i, traj, gmm8_model, batch=1024, seed=0)
 
-    def f(tau):
-        return loss((tau,)).value
+    def f(taus):
+        return [e.value for e in loss.site(0, (hi,))(taus)]
 
     tau_star, _, _ = optimize_tau(f, (lo, hi), 33, 0.01)
     dense = np.linspace(lo, hi, 1001)
-    vals = np.array([f(t) for t in dense])
+    vals = np.array(f(dense))
     cell = (hi - lo) / 1000.0
     assert abs(tau_star - dense[int(vals.argmin())]) <= cell + 1e-9
 
@@ -445,19 +499,20 @@ def test_consistency_and_denoising_argmin_agree_large_batch(gmm8_model, schedule
 
 def test_diagnostic_curves_score_each_grid_point_once(gmm8_model, schedule, monkeypatch):
     # both curves come from one step and one prediction per grid point, and
-    # equal the two separate loss calls bitwise
+    # equal each candidate's own evaluation against either target bitwise;
+    # the oracle work is counted in rows times conditioning times
     traj = make_trajectory("quadratic", 10, schedule)
-    calls = []
+    work = []
     real = GaussianMixtureOracle.epsilon
 
     def counting(model, x, t):
-        calls.append(t)
+        work.append(len(x) * np.size(t))
         return real(model, x, t)
 
     monkeypatch.setattr(GaussianMixtureOracle, "epsilon", counting)
     curves = diagnostic_loss_curves(4, traj, gmm8_model, batch=300, seed=2, n_grid=11)
-    assert len(calls) == 1 + 2 * 11
+    assert sum(work) == 300 * (1 + 2 * 11)
     loss = StepLoss(4, traj, gmm8_model, batch=300, seed=2)
     for j, g in enumerate(curves["tau_grid"]):
         assert curves["consistency"][j] == loss((g,)).value
-        assert curves["denoising"][j] == loss.denoising((g,)).value
+        assert curves["denoising"][j] == _scalar_loss(loss, (g,), loss._true_noise())[0]
