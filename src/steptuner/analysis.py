@@ -22,7 +22,7 @@ from .oracle import GaussianMixtureOracle
 from .rng import PURPOSE_PATHS, PURPOSE_PROJ, derive_rng
 from .samplers import SamplePath, SamplerConfig, _deterministic_part, sample_path
 from .trajectory import Trajectory, TunedTrajectory, baseline_tuned
-from .tuner import _consistency, _mean_stderr
+from .tuner import _consistency, _mean_stderr, _prediction_time
 
 # projection directions per chunk in sliced_wasserstein
 _PROJ_CHUNK = 16
@@ -109,12 +109,16 @@ def dense_flow(
     step's h. The first step has no history, and a step ending below t_eps
     has no finite log-SNR; both stay first order.
 
-    record lists the indices j of the points whose states are kept (None
-    keeps all); the states come back in walking order, from the highest
-    index down, so only len(record) states are ever stored.
+    record lists the indices j in [0, m] of the points whose states are
+    kept (None keeps all); the states come back in walking order, from the
+    highest index down, so only len(record) states are ever stored. The
+    oracle's time table of all m + 1 points is built once, before the first
+    step.
     """
     sched = model.schedule
     pts = _dense_points(t_from, t_to, m)
+    if record is not None and (bad := np.setdiff1d(record, np.arange(m + 1))).size:
+        raise DomainError(f"record: index {bad[0]} is not an integer in [0, {m}]")
     keep = np.full(m + 1, True) if record is None else np.isin(np.arange(m + 1), record)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     states = np.empty((int(keep.sum()),) + x.shape)
@@ -123,12 +127,13 @@ def dense_flow(
         states[0] = x
         stored = 1
     alpha, sigma = sched.alpha_sigma(pts)
+    table = model.times(pts)
     second = pts >= sched.t_eps  # where log-SNR is finite
     lam = np.zeros_like(pts)
     lam[second] = sched.log_snr(pts[second])
     eps_prev = h_prev = None
     for j in range(m, 0, -1):
-        eps = model.epsilon(x, pts[j])
+        eps = model.epsilon(x, table[j])
         x = _deterministic_part(x, alpha[j], sigma[j], alpha[j - 1], sigma[j - 1], eps)
         if second[j - 1]:
             h = lam[j - 1] - lam[j]
@@ -357,7 +362,8 @@ def error_bound_report(
     root_losses, continuity = [], []
     for l in range(1, traj.K + 1):
         target = model.epsilon(coarse.state_at(l), pts[l])
-        [(loss, _)] = _consistency(model, coarse.state_at(l - 1), pts[l - 1], target)
+        y = coarse.state_at(l - 1)
+        [(loss, _)] = _consistency(model, y, _prediction_time(model, pts[l - 1]), target)
         root_losses.append(sqrt(loss))
         d = model.epsilon(gt[l], pts[l]) - model.epsilon(gt[l - 1], pts[l - 1])
         continuity.append(float(np.mean(np.linalg.norm(d, axis=1))))

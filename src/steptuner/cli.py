@@ -168,6 +168,15 @@ def cmd_eval(args, cfg, schedule, model, traj, sampler) -> tuple:
     return [("eval.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")], {}
 
 
+def _write(path: Path, text: str) -> None:
+    """Write text to path, making its directory; a failure exits 2 naming the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _run(args) -> int:
     """Load and build the config, run the command, write its outputs.
 
@@ -181,9 +190,8 @@ def _run(args) -> int:
     outputs, report = _COMMANDS[args.command](args, cfg, *cfg.build())
     first = Path(args.out) if args.out is not None else Path(cfg.out_dir) / outputs[0][0]
     paths = [first] + [first.with_suffix(Path(name).suffix) for name, _ in outputs[1:]]
-    first.parent.mkdir(parents=True, exist_ok=True)
     for path, (_, text) in zip(paths, outputs):
-        path.write_text(text)
+        _write(path, text)
     meta = {
         "tool": "steptuner",
         "version": __version__,
@@ -199,7 +207,7 @@ def _run(args) -> int:
         **report,
     }
     sidecar = first.with_name(first.name + ".meta.json")
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write(sidecar, json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print("wrote " + " and ".join(map(str, paths)))
     return 0
 

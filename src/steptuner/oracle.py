@@ -12,7 +12,7 @@ the true posterior mean of the noise given x_t = x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,28 @@ def _as_floats(name: str, value) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name}: must be finite, got {value!r}")
     return arr
+
+
+@dataclass(frozen=True, eq=False)
+class OracleTimes:
+    """Time-dependent constants of oracle evaluations, from ``GaussianMixtureOracle.times``.
+
+    t is one time or a 1-D array of G times, C the (k, D + 3) coefficient
+    array (G, k, D + 3 for G times) and sigma the noise scale (a float, or
+    (G, 1)). ``table[j]`` is the one-time table of time j. Pass a table or
+    a row as the t of ``epsilon``, ``score``, ``responsibilities`` or
+    ``log_density`` of the oracle that built it.
+    """
+
+    model: GaussianMixtureOracle = field(repr=False)
+    t: object
+    C: np.ndarray
+    sigma: object
+
+    def __getitem__(self, j: int) -> OracleTimes:
+        if np.ndim(self.t) == 0:
+            raise DomainError("a table of one time has no rows")
+        return OracleTimes(self.model, float(self.t[j]), self.C[j], float(self.sigma[j, 0]))
 
 
 @dataclass(frozen=True)
@@ -68,34 +90,30 @@ class GaussianMixtureOracle:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _logits(self, x: np.ndarray, t) -> tuple:
-        """(g, X, C, sigma, n): the (k, n) logits log(w_k N(x; alpha mu_k, v_k I)) as one matmul.
+    def times(self, t) -> OracleTimes:
+        """The time side of an evaluation at one time or a 1-D array of times.
 
         With v_k = alpha^2 c_k^2 + sigma^2, ||x - alpha mu_k||^2 expands to
-        ||x||^2 - 2 alpha mu_k . x + alpha^2 ||mu_k||^2, so the logits are
-        g = A @ X for the (D + 2, n) array X = [1; x^T; -||x||^2 / 2] and A's
-        row k = [log w_k - (D/2) log(2 pi v_k) - alpha^2 ||mu_k||^2 / (2 v_k),
-        alpha mu_k / v_k, 1 / v_k]. B's row k = [alpha mu_k / v_k, 1 / v_k, 1]
-        gives the posterior moments as B^T @ exp(g). A and B are the first and
-        last D + 2 columns of the one (k, D + 3) array C. The arrays are
-        component-major, so reductions over components run along contiguous
-        rows. A one-row x is evaluated as that row twice, because numpy's
-        matrix-vector kernel rounds differently from its matrix-matrix one; n
-        is the caller's row count. t may also be a 1-D array of G times: C and
-        g gain a leading axis of G, sigma becomes (G, 1), and each slice equals
-        the evaluation at its one time bitwise.
+        ||x||^2 - 2 alpha mu_k . x + alpha^2 ||mu_k||^2, so the logits
+        log(w_k N(x; alpha mu_k, v_k I)) are A @ X for the (D + 2, n) array
+        X = [1; x^T; -||x||^2 / 2] and A's row k = [log w_k - (D/2) log(2 pi
+        v_k) - alpha^2 ||mu_k||^2 / (2 v_k), alpha mu_k / v_k, 1 / v_k]. B's
+        row k = [alpha mu_k / v_k, 1 / v_k, 1] gives the posterior moments as
+        B^T @ exp(g). A and B are the first and last D + 2 columns of the one
+        (k, D + 3) array C, which depends on the time alone. For G times, C
+        gains a leading axis of G and sigma is (G, 1); row j of the table
+        equals the table of time j bitwise. A caller that knows its times in
+        advance builds the table once and passes it, or its rows, as t.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.ndim != 2:
-            raise DomainError(f"oracle needs points of shape (n, D), got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise DomainError("oracle evaluated at non-finite point")
         alpha, sigma = self.schedule.alpha_sigma(t)
         if isinstance(alpha, np.ndarray):  # G times
             if alpha.ndim != 1:
                 raise DomainError(f"t: need one time or a 1-D array, got shape {alpha.shape}")
             alpha, sigma = alpha[:, None], sigma[:, None]
-        n, D = x.shape
+            t = np.asarray(t, dtype=float)
+        else:
+            t = float(t)
+        D = self.dim
         v = self._scales_sq * (alpha * alpha) + sigma * sigma  # (k,) or (G, k)
         C = np.empty(v.shape + (D + 3,))
         inv_v = np.divide(1.0, v, out=C[..., D + 1])
@@ -104,12 +122,35 @@ class GaussianMixtureOracle:
             self._log_norms - (0.5 * D) * np.log(v) - (alpha * alpha * inv_v) * self._half_means_sq
         )
         C[..., D + 2] = 1.0
+        C.flags.writeable = False
+        return OracleTimes(self, t, C, sigma)
+
+    def _logits(self, x: np.ndarray, t) -> tuple:
+        """(g, X, C, sigma, n): the (k, n) logits as one matmul C[:, :D + 2] @ X.
+
+        t is a time, a 1-D array of times, or a table of ``times``; plain
+        times are turned into their table first, so every call runs this
+        one row path. The arrays are component-major, so reductions over
+        components run along contiguous rows. A one-row x is evaluated as
+        that row twice, because numpy's matrix-vector kernel rounds
+        differently from its matrix-matrix one; n is the caller's row count.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise DomainError(f"oracle needs points of shape (n, {self.dim}), got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("oracle evaluated at non-finite point")
+        table = t if isinstance(t, OracleTimes) else self.times(t)
+        if table.model is not self:
+            raise DomainError("t: a table built by another oracle")
+        n, D = x.shape
         X = np.empty((D + 2, 2 if n == 1 else n))
         X[0] = 1.0
         X[1 : D + 1] = x.T
         np.einsum("dn,dn->n", X[1 : D + 1], X[1 : D + 1], out=X[D + 1])
         X[D + 1] *= -0.5
-        return C[..., : D + 2] @ X, X, C, sigma, n
+        C = table.C
+        return C[..., : D + 2] @ X, X, C, table.sigma, n
 
     @staticmethod
     def _exp_shifted(g: np.ndarray) -> np.ndarray:
@@ -130,7 +171,9 @@ class GaussianMixtureOracle:
         """log q_t(x) via log-sum-exp over components."""
         g, _, _, _, n = self._logits(x, t)
         out = (self._exp_shifted(g) + np.log(g.sum(axis=-2)))[..., :n]
-        return float(out[0]) if np.asarray(x).ndim == 1 else out
+        if np.asarray(x).ndim == 1:
+            out = out[..., 0]
+        return float(out) if out.ndim == 0 else out
 
     def _score(self, x: np.ndarray, t, times_sigma: bool) -> np.ndarray:
         """The (n, D) score, or -sigma times it, from the moments M = B^T @ exp(g - max g).
@@ -168,8 +211,9 @@ class GaussianMixtureOracle:
 
         x is one (n, D) batch of points. t is one time, giving (n, D), or a
         1-D array of G times, giving the (G, n, D) predictions at each; a
-        slice equals the call at its one time bitwise. Each row equals the
-        call on that row alone bitwise.
+        slice equals the call at its one time bitwise. A table of ``times``,
+        or one of its rows, gives what its times give, bitwise. Each row
+        equals the call on that row alone bitwise.
         """
         return self._like(x, self._score(x, t, times_sigma=True))
 

@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .oracle import GaussianMixtureOracle
+from .oracle import GaussianMixtureOracle, OracleTimes
 from .rng import PURPOSE_TUNE, check_seed
 from .samplers import SamplerConfig, site_step, step, step_constants
 from .trajectory import (
@@ -112,19 +112,24 @@ def _mean_stderr(per_row: np.ndarray) -> tuple:
     return mean.tolist(), stderr.tolist()
 
 
+def _prediction_time(model: GaussianMixtureOracle, t_to: float) -> OracleTimes:
+    """The oracle's table of the time a step to t_to is scored at: t_to, or
+    t_eps below it, since at t = 0 the model output is identically zero."""
+    return model.times(max(t_to, model.schedule.t_eps))
+
+
 def _consistency(
-    model: GaussianMixtureOracle, y: np.ndarray, t_to: float, *targets: np.ndarray
+    model: GaussianMixtureOracle, y: np.ndarray, t_pred: OracleTimes, *targets: np.ndarray
 ) -> list:
     """(mean, stderr) of the squared distance from the model's prediction at
     the stepped state y to each target; one model call serves every target.
 
     y is one (n, D) state or a (G, n, D) stack of them, scored in one call
     on its G n rows; a stack gives each mean and stderr as a list over G.
-    The prediction is conditioned at t_to, or at t_eps below it: when the
-    destination is t = 0 the model output is identically zero there.
+    The prediction is conditioned at t_pred, from ``_prediction_time``.
     """
     rows = y.reshape(-1, y.shape[-1])
-    pred = model.epsilon(rows, max(t_to, model.schedule.t_eps)).reshape(y.shape)
+    pred = model.epsilon(rows, t_pred).reshape(y.shape)
     out = []
     for target in targets:
         d = pred - target
@@ -193,6 +198,7 @@ class StepLoss:
         self.x0 = x0
         self.step_noise = noises[-1] if needs_noise else None
         self.target = model.epsilon(x, self.t_from)
+        self.t_pred = _prediction_time(model, self.t_to)
         self.batch = batch
 
     def _scores(self, stepped, values, *targets: np.ndarray) -> list:
@@ -204,7 +210,7 @@ class StepLoss:
             chunk = values[start : start + per_pass]
             y = stepped(chunk)
             for estimates, (means, stderrs) in zip(
-                out, _consistency(self.model, y, self.t_to, *targets)
+                out, _consistency(self.model, y, self.t_pred, *targets)
             ):
                 for tau, value, stderr in zip(chunk, means, stderrs):
                     if not np.isfinite(value):

@@ -10,6 +10,7 @@ from _oracles import dense_coefficient_product, dense_multistep_product, error_b
 from steptuner import (
     ContractError,
     DomainError,
+    NoiseSchedule,
     SamplerConfig,
     TunedTrajectory,
     TunerConfig,
@@ -20,6 +21,7 @@ from steptuner import (
     tune,
 )
 from steptuner.analysis import (
+    dense_flow,
     draw_start_states,
     error_bound_report,
     evaluate_samples,
@@ -94,6 +96,35 @@ def test_reference_path_repeatable(gmm8_model):
     assert np.array_equal(a.states, b.states)
     with pytest.raises(DomainError):
         reference_path(x, gmm8_model, dense_K=0)
+
+
+def test_dense_flow_rejects_record_indices_outside_its_points(gmm8_model):
+    x = draw_start_states(gmm8_model, 4, 0)
+    for record, bad in (([12, 99], "12"), ([3, -1], "-1"), ([2.5], "2.5")):
+        with pytest.raises(DomainError, match=rf"record: index {bad} is not an integer in \[0, 10\]"):
+            dense_flow(x, gmm8_model, 1000.0, 0.0, 10, record)
+    kept = dense_flow(x, gmm8_model, 1000.0, 0.0, 10, [10, 0])
+    assert np.array_equal(kept, dense_flow(x, gmm8_model, 1000.0, 0.0, 10)[[0, 10]])
+
+
+def test_dense_flow_schedule_calls_do_not_grow_with_steps(gmm8_model, monkeypatch):
+    # the time side of every oracle call is built once per rollout, so the
+    # schedule is asked for alpha and sigma a fixed number of times
+    calls = []
+    real = NoiseSchedule.alpha_sigma
+
+    def counting(self, t):
+        calls.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(NoiseSchedule, "alpha_sigma", counting)
+    x = draw_start_states(gmm8_model, 8, 0)
+    counts = []
+    for m in (10, 200):
+        calls.clear()
+        dense_flow(x, gmm8_model, 1000.0, 0.0, m, record=[0])
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
 
 
 @pytest.mark.parametrize("kind", ["uniform", "quadratic", "log-snr"])

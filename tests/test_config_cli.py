@@ -424,6 +424,20 @@ def test_cli_unreadable_config_or_tuned_file_exits_2(tmp_path, capsys):
             assert bad.name in err and "Traceback" not in err, err
 
 
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    # the command runs, then its write fails: a directory in the way of the
+    # output, or a regular file in the way of its directory
+    cfg = _small_cfg(tmp_path)
+    folder = tmp_path / "folder.csv"
+    folder.mkdir()
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for out in (folder, blocker / "s.csv"):
+        assert cli.main(["sample", "--config", cfg, "--n", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}" in err and "Traceback" not in err, err
+
+
 def test_cli_rejects_bad_flag_values(tmp_path, capsys):
     cfg = _small_cfg(tmp_path)
     assert cli.main(["sample", "--config", cfg, "--n", "-1"]) == 2

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _oracles import finite_difference_gradient, mixture_posterior
 from steptuner import DomainError, GaussianMixtureOracle, NoiseSchedule, gmm8, standard_gaussian
+from steptuner.analysis import _dense_points
 from steptuner.oracle import make_oracle
 from steptuner.rng import PURPOSE_DATA, derive_rng
 
@@ -135,6 +136,61 @@ def test_multi_time_epsilon_slices_equal_scalar_calls(schedule, name, n, times, 
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(_MULTI_MODELS)),
+    n=st.integers(min_value=1, max_value=300),
+    times=st.lists(
+        st.one_of(st.sampled_from(["t_eps", 0.0, 1000.0]), st.floats(0.0, 1000.0)),
+        min_size=1,
+        max_size=20,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_time_table_rows_equal_plain_times(schedule, name, n, times, seed):
+    # a table built once and passed to many calls is the same evaluation as
+    # the plain time, bit for bit: one table, row by row, or whole
+    model = _MULTI_MODELS[name](schedule)
+    ts = np.array([schedule.t_eps if t == "t_eps" else t for t in times])
+    x = np.random.default_rng(seed).standard_normal((n, model.dim)) * 2.0
+    table = model.times(ts)
+    for j, t in enumerate(ts):
+        assert np.array_equal(model.epsilon(x, table[j]), model.epsilon(x, t))
+    assert np.array_equal(model.epsilon(x, table), model.epsilon(x, ts))
+    for method in METHODS[1:]:
+        assert np.array_equal(getattr(model, method)(x, table[0]), getattr(model, method)(x, ts[0]))
+    # one point at G times gives G densities, as it gives one at one time
+    assert np.array_equal(model.log_density(x[0], table), model.log_density(x[:1], ts)[:, 0])
+    assert model.log_density(x[0], table[0]) == model.log_density(x[0], ts[0])
+
+
+@pytest.mark.parametrize("name", sorted(_MULTI_MODELS))
+@pytest.mark.parametrize("t_min", [0.0, 1.0])
+def test_time_table_rows_on_the_dense_grid(schedule, name, t_min):
+    # the dense reference's 1,001 points: each row of the one table equals
+    # the table its time alone builds
+    model = _MULTI_MODELS[name](schedule)
+    pts = _dense_points(schedule.T, t_min, 1000)
+    table = model.times(pts)
+    assert table.C.shape == (1001, len(model.weights), model.dim + 3)
+    for j, t in enumerate(pts):
+        row, alone = table[j], model.times(t)
+        assert row.t == alone.t == t
+        assert np.array_equal(row.C, alone.C) and row.sigma == alone.sigma, j
+
+
+def test_time_table_misuse_rejected(schedule, gmm8_model):
+    x = np.zeros((3, 2))
+    with pytest.raises(DomainError, match="another oracle"):
+        gmm8_model.epsilon(x, gmm8(schedule).times(10.0))
+    with pytest.raises(DomainError, match="no rows"):
+        gmm8_model.times(10.0)[0]
+    with pytest.raises(DomainError):
+        gmm8_model.times(np.full((2, 2), 10.0))
+    with pytest.raises(ValueError):
+        gmm8_model.times(10.0).C[0, 0] = 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_MULTI_MODELS)),
     n=st.integers(min_value=5, max_value=3000),
     t=st.floats(min_value=0.0, max_value=1000.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -195,6 +251,8 @@ def test_multi_time_shapes_rejected(gmm8_model):
         gmm8_model.epsilon(np.zeros((3, 2)), np.full((2, 2), 10.0))
     with pytest.raises(DomainError):
         gmm8_model.epsilon(np.zeros((2, 3, 2)), 10.0)
+    with pytest.raises(DomainError, match=r"shape \(n, 2\)"):
+        gmm8_model.epsilon(np.zeros((3, 1)), 10.0)
     with pytest.raises(DomainError, match=r"t must lie in \[0, "):
         gmm8_model.epsilon(np.zeros((3, 2)), np.array([10.0, np.nan]))
 
