@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from math import expm1, sqrt
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -189,6 +190,51 @@ def gap_profile(coarse: SamplePath, reference: SamplePath) -> GapReport:
     return GapReport(rows=rows)
 
 
+def _checked_sets(sets: list, n_projections: Optional[int] = None) -> list:
+    """sets as float (n, D) arrays, checked before any metric reads them.
+
+    Each set must be non-empty, finite and of the same dimension D, and
+    n_projections, where given, an integer >= 1; anything else raises
+    DomainError.
+    """
+    if n_projections is not None and (
+        isinstance(n_projections, bool)
+        or not isinstance(n_projections, Integral)
+        or n_projections < 1
+    ):
+        raise DomainError(f"n_projections: must be an integer >= 1, got {n_projections!r}")
+    sets = [np.atleast_2d(np.asarray(x, dtype=float)) for x in sets]
+    for x in sets:
+        if x.ndim != 2:
+            raise DomainError(f"sample sets must be (n, D) arrays, got shape {x.shape}")
+        if x.size == 0:
+            raise DomainError("sample sets must be non-empty")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("sample sets must hold finite numbers")
+        if x.shape[1] != sets[0].shape[1]:
+            raise DomainError(
+                f"sample sets disagree on dimension: {sets[0].shape[1]} and {x.shape[1]}"
+            )
+    return sets
+
+
+def _moments(x: np.ndarray) -> tuple:
+    """Mean and (D, D) covariance of a checked sample set."""
+    D = x.shape[1]
+    if x.shape[0] < D + 1:
+        raise DomainError(f"each sample set needs at least {D + 1} points")
+    return x.mean(axis=0), np.atleast_2d(np.cov(x, rowvar=False))
+
+
+def _frechet(ma: np.ndarray, Ca: np.ndarray, mb: np.ndarray, Cb: np.ndarray) -> float:
+    wa, Va = np.linalg.eigh(Ca)
+    root_a = (Va * np.sqrt(np.clip(wa, 0.0, None))) @ Va.T
+    wm = np.linalg.eigvalsh(root_a @ Cb @ root_a)
+    cross = np.sqrt(np.clip(wm, 0.0, None)).sum()
+    fd2 = float(np.sum((ma - mb) ** 2) + np.trace(Ca) + np.trace(Cb) - 2.0 * cross)
+    return max(0.0, fd2)
+
+
 def frechet_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
     """Squared moment distance between Gaussian fits of two sample sets.
 
@@ -197,22 +243,8 @@ def frechet_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
     uses a symmetric eigendecomposition with negative eigenvalues clamped
     to zero.
     """
-    a = np.atleast_2d(np.asarray(samples_a, dtype=float))
-    b = np.atleast_2d(np.asarray(samples_b, dtype=float))
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DomainError("non-finite input to frechet_distance")
-    D = a.shape[1]
-    if a.shape[0] < D + 1 or b.shape[0] < D + 1:
-        raise DomainError(f"each sample set needs at least {D + 1} points")
-    ma, mb = a.mean(axis=0), b.mean(axis=0)
-    Ca = np.atleast_2d(np.cov(a, rowvar=False))
-    Cb = np.atleast_2d(np.cov(b, rowvar=False))
-    wa, Va = np.linalg.eigh(Ca)
-    root_a = (Va * np.sqrt(np.clip(wa, 0.0, None))) @ Va.T
-    wm = np.linalg.eigvalsh(root_a @ Cb @ root_a)
-    cross = np.sqrt(np.clip(wm, 0.0, None)).sum()
-    fd2 = float(np.sum((ma - mb) ** 2) + np.trace(Ca) + np.trace(Cb) - 2.0 * cross)
-    return max(0.0, fd2)
+    a, b = _checked_sets([samples_a, samples_b])
+    return _frechet(*_moments(a), *_moments(b))
 
 
 def sliced_wasserstein(
@@ -222,41 +254,54 @@ def sliced_wasserstein(
     seed: int = 0,
 ) -> float:
     """Mean 1-D 2-Wasserstein distance over random unit projections."""
-    return _sliced_wasserstein_many([samples_a], samples_b, n_projections, seed)[0]
+    a, b = _checked_sets([samples_a, samples_b], n_projections)
+    return _sliced_wasserstein_many([a], b, n_projections, seed)[0]
 
 
-def _sliced_wasserstein_many(sets: list, samples_b, n_projections: int, seed: int) -> list:
-    """sliced_wasserstein of each sample set in sets against samples_b.
+def _levels(n: int, m: int):
+    """Where n sorted values hold their quantiles at the levels (i + 1/2)/m.
 
-    samples_b is projected and sorted once per chunk of directions, for all
-    the sets; each value equals the call on its one set bitwise.
+    The inverted-CDF quantiles as indices: identical values to np.quantile
+    (..., method="inverted_cdf") without its per-level cost, which is
+    prohibitive for large m. At n = m they are 0..m-1, the identity slice.
     """
-    sets = [np.atleast_2d(np.asarray(a, dtype=float)) for a in sets]
-    b = np.atleast_2d(np.asarray(samples_b, dtype=float))
-    if b.shape[0] == 0 or any(a.shape[0] == 0 for a in sets):
-        raise DomainError("sample sets must be non-empty")
-    D = b.shape[1]
+    if n == m:
+        return slice(None)
+    q = (np.arange(m) + 0.5) / m
+    return np.clip(np.ceil(q * n).astype(int) - 1, 0, n - 1)
+
+
+def _sliced_wasserstein_many(sets: list, b: np.ndarray, n_projections: int, seed: int) -> list:
+    """sliced_wasserstein of each checked sample set in sets against b.
+
+    A chunk of directions d projects a set as d @ x.T, one contiguous row
+    of n values per direction, and sorts the rows in place. b is projected
+    and sorted once per chunk, for all the sets; each value equals the call
+    on its one set bitwise.
+    """
     rng = derive_rng(seed, PURPOSE_PROJ, 0, 0)
-    dirs = rng.standard_normal((n_projections, D))
+    dirs = rng.standard_normal((n_projections, b.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    # inverted-CDF quantiles at the midpoint levels via one sort per column;
-    # identical values to np.quantile(..., method="inverted_cdf") but without
-    # its per-level cost, which is prohibitive for large m
     levels = []
     for a in sets:
         m = max(a.shape[0], b.shape[0])
-        q = (np.arange(m) + 0.5) / m
-        ia = np.clip(np.ceil(q * a.shape[0]).astype(int) - 1, 0, a.shape[0] - 1)
-        ib = np.clip(np.ceil(q * b.shape[0]).astype(int) - 1, 0, b.shape[0] - 1)
-        levels.append((ia, ib))
-    # a chunk of directions at a time keeps the (rows, directions) arrays small
+        levels.append((_levels(a.shape[0], m), _levels(b.shape[0], m)))
+    # a chunk of directions at a time keeps the (directions, rows) arrays small
     w2 = np.empty((len(sets), n_projections))
     for c in range(0, n_projections, _PROJ_CHUNK):
         d = dirs[c : c + _PROJ_CHUNK]
-        sorted_b = np.sort(b @ d.T, axis=0)
+        sorted_b = d @ b.T
+        sorted_b.sort(axis=1)
         for w, a, (ia, ib) in zip(w2, sets, levels):
-            qa = np.sort(a @ d.T, axis=0)[ia]
-            w[c : c + len(d)] = np.sqrt(np.mean((qa - sorted_b[ib]) ** 2, axis=0))
+            sq = d @ a.T
+            sq.sort(axis=1)
+            sq = sq[:, ia]
+            sq -= sorted_b[:, ib]
+            sq *= sq
+            # the mean over axis 0 of the (m, directions) copy adds the
+            # levels one after another; a pairwise sum along the rows would
+            # move the last bits
+            w[c : c + len(d)] = np.sqrt(np.mean(np.ascontiguousarray(sq.T), axis=0))
     return [float(w.mean()) for w in w2]
 
 
@@ -271,26 +316,27 @@ def evaluate_samples(
 
 
 def _evaluate_many(sets: list, data: np.ndarray, seed: int, n_projections: int) -> list:
-    """evaluate_samples of each generated set against the one data set."""
-    d = np.atleast_2d(data)
-    d_mean = d.mean(axis=0)
-    d_cov = np.atleast_2d(np.cov(d, rowvar=False))
-    reports = []
-    for g, sw in zip(sets, _sliced_wasserstein_many(sets, d, n_projections, seed)):
-        g = np.atleast_2d(g)
-        cov_delta = np.linalg.norm(np.atleast_2d(np.cov(g, rowvar=False)) - d_cov)
-        reports.append(
-            EvalReport(
-                frechet=frechet_distance(g, d),
-                sliced_wasserstein=sw,
-                mean_delta=float(np.linalg.norm(g.mean(axis=0) - d_mean)),
-                cov_delta=float(cov_delta),
-                n_a=g.shape[0],
-                n_b=d.shape[0],
-                seed=seed,
-            )
+    """evaluate_samples of each generated set against the one data set.
+
+    Every set's mean and covariance are computed once, for both the
+    Frechet distance and the deltas.
+    """
+    *sets, d = _checked_sets(sets + [data], n_projections)
+    d_mean, d_cov = _moments(d)
+    moments = [_moments(g) for g in sets]
+    sw = _sliced_wasserstein_many(sets, d, n_projections, seed)
+    return [
+        EvalReport(
+            frechet=_frechet(g_mean, g_cov, d_mean, d_cov),
+            sliced_wasserstein=s,
+            mean_delta=float(np.linalg.norm(g_mean - d_mean)),
+            cov_delta=float(np.linalg.norm(g_cov - d_cov)),
+            n_a=g.shape[0],
+            n_b=d.shape[0],
+            seed=seed,
         )
-    return reports
+        for g, (g_mean, g_cov), s in zip(sets, moments, sw)
+    ]
 
 
 def step_replacement_sweep(

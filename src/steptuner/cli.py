@@ -129,8 +129,11 @@ def cmd_tune(args, cfg, schedule, model, traj, sampler) -> tuple:
 def cmd_sample(args, cfg, schedule, model, traj, sampler) -> tuple:
     tuned, _ = _load_tuned(args, traj, schedule, sampler)
     x_T = draw_start_states(model, args.n, cfg.seeds.sample)
-    rows = generate_paths(x_T, tuned, sampler, model).states[-1].tolist()
-    return [("samples.csv", "".join(",".join(map(repr, r)) + "\n" for r in rows))], {}
+    final = generate_paths(x_T, tuned, sampler, model).states[-1]
+    # one format call over all values; "{!r}" is repr, so each row reads
+    # as ",".join(map(repr, row))
+    row = ",".join(["{!r}"] * final.shape[1]) + "\n"
+    return [("samples.csv", (row * len(final)).format(*final.ravel().tolist()))], {}
 
 
 def cmd_gap(args, cfg, schedule, model, traj, sampler) -> tuple:

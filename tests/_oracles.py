@@ -10,7 +10,7 @@ from math import sqrt
 import numpy as np
 from scipy import integrate
 
-from steptuner.rng import PURPOSE_TUNE, derive_rng
+from steptuner.rng import PURPOSE_PROJ, PURPOSE_TUNE, derive_rng
 
 
 def log_alpha_quad(schedule, t: float) -> float:
@@ -213,3 +213,31 @@ def error_bound_rows(coarse, reference, traj, model) -> list:
             row["holds"] = row["lhs"] <= row["bound"] + 3.0 * row["lhs_stderr"]
         rows.append(row)
     return rows
+
+
+def sliced_wasserstein_rows(a: np.ndarray, b: np.ndarray, n_projections: int, seed: int) -> float:
+    """Sliced Wasserstein distance with (rows, directions) projections.
+
+    Projects both sets onto 16 unit directions at a time as x @ d.T (a
+    matmul's last bits can depend on its shape, so the chunks match the
+    library's), sorts each column, reads the inverted-CDF quantiles at the levels
+    (i + 1/2)/m, m the larger set size, by index, and averages the root
+    mean squared quantile differences over the directions. The sums over
+    the levels run row by row down axis 0, so the value is defined to the
+    last bit.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    dirs = derive_rng(seed, PURPOSE_PROJ, 0, 0).standard_normal((n_projections, b.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    m = max(len(a), len(b))
+    q = (np.arange(m) + 0.5) / m
+    ia = np.clip(np.ceil(q * len(a)).astype(int) - 1, 0, len(a) - 1)
+    ib = np.clip(np.ceil(q * len(b)).astype(int) - 1, 0, len(b) - 1)
+    w = np.empty(n_projections)
+    for c in range(0, n_projections, 16):
+        d = dirs[c : c + 16]
+        qa = np.sort(a @ d.T, axis=0)[ia]
+        qb = np.sort(b @ d.T, axis=0)[ib]
+        w[c : c + len(d)] = np.sqrt(np.mean((qa - qb) ** 2, axis=0))
+    return float(w.mean())

@@ -1,12 +1,20 @@
 """Path analysis and distribution metrics against independent references."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _oracles import dense_coefficient_product, dense_multistep_product, error_bound_rows
+from _oracles import (
+    dense_coefficient_product,
+    dense_multistep_product,
+    error_bound_rows,
+    sliced_wasserstein_rows,
+)
 from steptuner import (
     ContractError,
     DomainError,
@@ -21,6 +29,7 @@ from steptuner import (
     tune,
 )
 from steptuner.analysis import (
+    _evaluate_many,
     dense_flow,
     draw_start_states,
     error_bound_report,
@@ -305,6 +314,74 @@ def test_evaluate_samples_bundle(gmm8_model):
     assert rep.n_a == rep.n_b == 2048
     payload = rep.to_dict()
     assert set(payload) >= {"frechet", "sliced_wasserstein", "mean_delta", "cov_delta"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    na=st.integers(min_value=1, max_value=400),
+    nb=st.integers(min_value=1, max_value=400),
+    equal=st.booleans(),
+    dim=st.sampled_from([1, 2, 3]),
+    n_projections=st.sampled_from([1, 17, 128]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(na=1, nb=1, equal=True, dim=2, n_projections=128, seed=0)
+@example(na=1, nb=7, equal=False, dim=3, n_projections=17, seed=1)
+@example(na=7, nb=1, equal=False, dim=1, n_projections=1, seed=2)
+def test_sliced_wasserstein_equals_row_major_reference(na, nb, equal, dim, n_projections, seed):
+    # sorting direction-major rows and reading equal-size sets through the
+    # identity levels must not move a bit
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((na, dim)) * 3.0
+    b = rng.standard_normal((na if equal else nb, dim)) + 0.5
+    expected = sliced_wasserstein_rows(a, b, n_projections, seed)
+    assert sliced_wasserstein(a, b, n_projections, seed) == expected
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_evaluate_many_equals_one_set_calls(dim):
+    rng = np.random.default_rng(dim)
+    data = rng.standard_normal((300, dim))
+    sets = [rng.standard_normal((n, dim)) * 1.5 for n in (300, 120, 300, 450)]
+    reports = _evaluate_many(sets, data, 9, 33)
+    assert reports == [evaluate_samples(g, data, 9, 33) for g in sets]
+    for g, report in zip(sets, reports):
+        assert report.frechet == frechet_distance(g, data)
+        assert report.sliced_wasserstein == sliced_wasserstein(g, data, 33, 9)
+
+
+@pytest.mark.parametrize("n_projections", [0, -3, 2.5, True, "8"])
+def test_sliced_wasserstein_rejects_bad_projection_counts(n_projections):
+    x = np.random.default_rng(0).standard_normal((10, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="n_projections"):
+            sliced_wasserstein(x, x, n_projections)
+        with pytest.raises(DomainError, match="n_projections"):
+            evaluate_samples(x, x, 0, n_projections)
+
+
+def _bad_set(kind: str) -> np.ndarray:
+    x = np.random.default_rng(1).standard_normal((10, 2))
+    if kind == "empty":
+        return x[:0]
+    if kind == "dim":
+        return np.random.default_rng(1).standard_normal((10, 3))
+    x[3, 1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+    return x
+
+
+@pytest.mark.parametrize("kind", ["empty", "nan", "inf", "-inf", "dim"])
+@pytest.mark.parametrize("metric", [sliced_wasserstein, frechet_distance, evaluate_samples])
+def test_metrics_reject_bad_sample_sets(metric, kind):
+    # checked before any projection or sort: no nan comes back and no
+    # numpy error or warning escapes
+    good = np.random.default_rng(0).standard_normal((10, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in [(_bad_set(kind), good), (good, _bad_set(kind))]:
+            with pytest.raises(DomainError):
+                metric(a, b)
 
 
 # ---------------------------------------------------------------------- sweep

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from steptuner import cli
+from steptuner.analysis import draw_start_states, generate_paths
 from steptuner.config import (
     ConfigError,
     ExperimentConfig,
@@ -18,7 +19,7 @@ from steptuner.oracle import GaussianMixtureOracle, make_oracle
 from steptuner.rng import check_seed
 from steptuner.samplers import SamplerConfig
 from steptuner.schedule import NoiseSchedule
-from steptuner.trajectory import make_trajectory
+from steptuner.trajectory import baseline_tuned, make_trajectory
 from steptuner.tuner import TunerConfig
 
 CONFIG_FILES = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
@@ -271,6 +272,22 @@ def test_cli_sample_empty_request(tmp_path, capsys):
     out = tmp_path / "empty.csv"
     assert cli.main(["sample", "--config", cfg, "--out", str(out), "--n", "0"]) == 0
     assert out.read_text() == ""
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("dim, n", [(1, 300), (3, 300), (1, 0), (3, 0)])
+def test_cli_sample_rows_are_reprs_of_the_final_states(tmp_path, capsys, dim, n):
+    cfg = _small_cfg(tmp_path, oracle={"preset": "standard", "dim": dim})
+    out = tmp_path / "s.csv"
+    assert cli.main(["sample", "--config", cfg, "--out", str(out), "--n", str(n)]) == 0
+    config = load_config(cfg)
+    schedule, model, traj, sampler = config.build()
+    tuned = baseline_tuned(traj, schedule, sampler.kind)
+    x_T = draw_start_states(model, n, config.seeds.sample)
+    final = generate_paths(x_T, tuned, sampler, model).states[-1]
+    assert final.shape == (n, dim)
+    expected = "".join(",".join(map(repr, row)) + "\n" for row in final.tolist())
+    assert out.read_text() == expected
     capsys.readouterr()
 
 
