@@ -193,7 +193,8 @@ def gap_profile(coarse: SamplePath, reference: SamplePath) -> GapReport:
 def _checked_sets(sets: list, n_projections: Optional[int] = None) -> list:
     """sets as float (n, D) arrays, checked before any metric reads them.
 
-    Each set must be non-empty, finite and of the same dimension D, and
+    A 1-D array holds n samples in one dimension, read as (n, 1). Each set
+    must be non-empty, finite and of the same dimension D, and
     n_projections, where given, an integer >= 1; anything else raises
     DomainError.
     """
@@ -203,7 +204,8 @@ def _checked_sets(sets: list, n_projections: Optional[int] = None) -> list:
         or n_projections < 1
     ):
         raise DomainError(f"n_projections: must be an integer >= 1, got {n_projections!r}")
-    sets = [np.atleast_2d(np.asarray(x, dtype=float)) for x in sets]
+    sets = [np.asarray(x, dtype=float) for x in sets]
+    sets = [x.reshape(-1, 1) if x.ndim < 2 else x for x in sets]
     for x in sets:
         if x.ndim != 2:
             raise DomainError(f"sample sets must be (n, D) arrays, got shape {x.shape}")

@@ -94,7 +94,8 @@ def _load_tuned(args, traj, schedule, sampler):
         tuned = tuned_from_json(read_json(path, "tuned"))
     except KeyError as exc:
         raise ConfigError(f"tuned file {path} lacks key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, StepTunerError) as exc:
+        # the document parsed but breaks a rule of the library's own
         raise ConfigError(f"tuned file {path} is malformed: {exc}") from exc
     if tuned.sampler_kind != sampler.kind:
         raise ContractError(
@@ -186,13 +187,20 @@ def _run(args) -> int:
     A command returns its (default name, text) outputs and a dict of what
     the run did, for the sidecar. The first output goes to --out, or under
     its default name to the config's out_dir; each further one goes next to
-    it with its own suffix. The ``.meta.json`` sidecar, which echoes the
+    it with its own suffix, and a path that two outputs would share exits 2
+    before anything is written. The ``.meta.json`` sidecar, which echoes the
     settings used, sits by the first.
     """
     cfg = _load(args)
     outputs, report = _COMMANDS[args.command](args, cfg, *cfg.build())
     first = Path(args.out) if args.out is not None else Path(cfg.out_dir) / outputs[0][0]
     paths = [first] + [first.with_suffix(Path(name).suffix) for name, _ in outputs[1:]]
+    for j, path in enumerate(paths):
+        if path in paths[:j]:
+            raise ConfigError(
+                f"--out {first}: two outputs of {args.command} would be written to "
+                f"{path}; give --out another suffix"
+            )
     for path, (_, text) in zip(paths, outputs):
         _write(path, text)
     meta = {

@@ -12,6 +12,7 @@ noise-prediction model is replaced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import exp, sqrt
 from typing import NamedTuple, Optional
 
@@ -59,13 +60,12 @@ class SamplePath:
 class StepConstants(NamedTuple):
     """Schedule values of one step from t_from to t_to.
 
-    None of them depends on a conditioning time, so a caller that takes one
-    step at many conditioning times (the tuner's loss) builds them once with
-    ``step_constants``. The last three are set for two-evaluation steps only.
+    None of them depends on a conditioning time: they are a function of the
+    schedule, the two trajectory times and the sampler kind alone, which
+    ``step_constants`` caches. The last three are set for two-evaluation
+    steps only.
     """
 
-    t_from: float
-    t_to: float
     a_from: float
     s_from: float
     a_to: float
@@ -75,34 +75,29 @@ class StepConstants(NamedTuple):
     s_mid: float = 0.0
 
 
+@lru_cache(maxsize=1024)
 def step_constants(
     schedule, t_from: float, t_to: float, kind: str = "ddim-family"
 ) -> StepConstants:
-    """The constants of one step of the given sampler kind, checking its times."""
+    """The constants of one step of the given sampler kind, checking its times.
+
+    Cached on (schedule, t_from, t_to, kind): a step taken at many
+    conditioning times, or by many rollouts, builds its constants once. A
+    rejected interval raises on every call.
+    """
     if not (t_to < t_from):
         raise DomainError(f"step requires t_to < t_from, got {t_to} >= {t_from}")
     a_from, s_from = schedule.alpha_sigma(t_from)
     a_to, s_to = schedule.alpha_sigma(t_to)
     if evaluations_per_step(kind) == 1:
-        return StepConstants(t_from, t_to, a_from, s_from, a_to, s_to)
+        return StepConstants(a_from, s_from, a_to, s_to)
     if t_to < schedule.t_eps:
         raise DomainError(
             f"two-evaluation step needs t_to >= {schedule.t_eps} for log-SNR, got {t_to}"
         )
     h = schedule.log_snr(t_to) - schedule.log_snr(t_from)
     a_mid, s_mid = schedule.alpha_sigma(midpoint_time(schedule, t_from, t_to))
-    return StepConstants(t_from, t_to, a_from, s_from, a_to, s_to, h, a_mid, s_mid)
-
-
-def _constants(model, t_from, t_to, kind, consts) -> StepConstants:
-    if consts is None:
-        return step_constants(model.schedule, t_from, t_to, kind)
-    if (consts.t_from, consts.t_to) != (t_from, t_to):
-        raise ContractError(
-            f"constants of the step {consts.t_from} -> {consts.t_to} passed to "
-            f"the step {t_from} -> {t_to}"
-        )
-    return consts
+    return StepConstants(a_from, s_from, a_to, s_to, h, a_mid, s_mid)
 
 
 def _check_taus(T: float, *taus) -> None:
@@ -140,15 +135,13 @@ def ddim_step(
     model: GaussianMixtureOracle,
     eta: float = 0.0,
     noise: Optional[np.ndarray] = None,
-    consts: Optional[StepConstants] = None,
 ) -> np.ndarray:
     """One eta-family step from t_from to t_to, conditioning the model at tau.
 
     tau may be a 1-D array of G candidate times; the result then stacks the
-    G steps of the (n, D) state x as (G, n, D). consts are the step's
-    constants when the caller has built them.
+    G steps of the (n, D) state x as (G, n, D).
     """
-    c = _constants(model, t_from, t_to, "ddim-family", consts)
+    c = step_constants(model.schedule, t_from, t_to, "ddim-family")
     _check_taus(model.schedule.T, tau)
     if eta > 0.0 and noise is None:
         raise ContractError("eta > 0 requires a noise array")
@@ -189,7 +182,6 @@ def dpm_solver2_step(
     tau_a,
     tau_b,
     model: GaussianMixtureOracle,
-    consts: Optional[StepConstants] = None,
 ) -> np.ndarray:
     """One log-SNR midpoint step with two model evaluations.
 
@@ -198,7 +190,7 @@ def dpm_solver2_step(
     Either time, not both, may be a 1-D array of G candidate times; the
     result then stacks the G steps as (G, n, D).
     """
-    c = _constants(model, t_from, t_to, "dpm-solver-2", consts)
+    c = step_constants(model.schedule, t_from, t_to, "dpm-solver-2")
     _check_taus(model.schedule.T, tau_a, tau_b)
     return _midpoint_update(x, _midpoint_state(x, c, tau_a, model), c, tau_b, model)
 
@@ -211,7 +203,6 @@ def step(
     model: GaussianMixtureOracle,
     sampler: SamplerConfig,
     noise: Optional[np.ndarray] = None,
-    consts: Optional[StepConstants] = None,
 ) -> np.ndarray:
     """One step of the sampler's kind, conditioning its sites at taus.
 
@@ -220,13 +211,14 @@ def step(
     is stochastic.
     """
     if sampler.kind == "ddim-family":
-        return ddim_step(x, t_from, t_to, taus[0], model, sampler.eta, noise, consts)
-    return dpm_solver2_step(x, t_from, t_to, taus[0], taus[1], model, consts)
+        return ddim_step(x, t_from, t_to, taus[0], model, sampler.eta, noise)
+    return dpm_solver2_step(x, t_from, t_to, taus[0], taus[1], model)
 
 
 def site_step(
     x: np.ndarray,
-    consts: StepConstants,
+    t_from: float,
+    t_to: float,
     taus,
     site: int,
     model: GaussianMixtureOracle,
@@ -241,17 +233,17 @@ def site_step(
     candidate is computed here, once: with the first site of a
     two-evaluation step held, its stage-1 state.
     """
-    t_from, t_to = consts.t_from, consts.t_to
     if site == 0:
         return lambda cand: step(
-            x, t_from, t_to, (cand,) + tuple(taus[1:]), model, sampler, noise, consts
+            x, t_from, t_to, (cand,) + tuple(taus[1:]), model, sampler, noise
         )
+    c = step_constants(model.schedule, t_from, t_to, sampler.kind)
     _check_taus(model.schedule.T, taus[0])
-    u = _midpoint_state(x, consts, taus[0], model)
+    u = _midpoint_state(x, c, taus[0], model)
 
     def stepped(cand):
         _check_taus(model.schedule.T, cand)
-        return _midpoint_update(x, u, consts, cand, model)
+        return _midpoint_update(x, u, c, cand, model)
 
     return stepped
 

@@ -5,9 +5,8 @@ time tau_i whose step output stays most consistent with the model: the
 loss is the mean squared difference between the model's prediction at the
 stepped state (evaluated at the next trajectory time) and its prediction
 at the current state. ``StepLoss`` is that loss for one step, built once
-with the step's schedule constants and scored for many candidates. Its
-prefix decides how the current state is built, which is all the two
-training strategies differ in:
+and scored for many candidates. Its prefix decides how the current state
+is built, which is all the two training strategies differ in:
 
   sequential - prefix = the times already tuned for steps K..i+1, so
                states are rolled from t_K and each step trains on the
@@ -44,7 +43,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .oracle import GaussianMixtureOracle, OracleTimes
 from .rng import PURPOSE_TUNE, check_seed
-from .samplers import SamplerConfig, site_step, step, step_constants
+from .samplers import SamplerConfig, site_step, step
 from .trajectory import (
     Trajectory,
     TunedTrajectory,
@@ -155,9 +154,9 @@ class StepLoss:
     per step; the states are then forward samples at t_K rolled through
     those steps.
     ``site(idx, taus)`` scores many candidate times of one evaluation site
-    at once, the step from t_i to t_{i-1} on the same batch every time,
-    with the step's schedule constants built once, here. Calling the
-    object with one site tuple scores that tuple through ``site``.
+    at once, the step from t_i to t_{i-1} on the same batch every time.
+    Calling the object with one site tuple scores that tuple through
+    ``site``.
     """
 
     def __init__(
@@ -184,7 +183,6 @@ class StepLoss:
         self.t_from = pts[i]
         self.t_to = pts[i - 1]
         sched = model.schedule
-        self.consts = step_constants(sched, self.t_from, self.t_to, sampler.kind)
         needs_noise = not sampler.deterministic
         n_noise = (len(prefix) + 1) if needs_noise else 0
         x0, normals = model.draw(batch, (seed, PURPOSE_TUNE, i), extra=1 + n_noise)
@@ -225,7 +223,8 @@ class StepLoss:
         the call with its one site tuple bitwise.
         """
         stepped = site_step(
-            self.state, self.consts, taus, idx, self.model, self.sampler, self.step_noise
+            self.state, self.t_from, self.t_to, taus, idx, self.model, self.sampler,
+            self.step_noise,
         )
         return lambda values: self._scores(stepped, values, self.target)[0]
 
@@ -405,7 +404,7 @@ def diagnostic_loss_curves(
     loss = StepLoss(i, traj, model, batch=batch, seed=seed)
     lo, hi = _search_bounds("interval", traj, i, model.schedule.t_eps)
     grid = np.linspace(lo, hi, n_grid)
-    stepped = site_step(loss.state, loss.consts, (hi,), 0, model, loss.sampler)
+    stepped = site_step(loss.state, loss.t_from, loss.t_to, (hi,), 0, model, loss.sampler)
     curves = loss._scores(stepped, grid, loss.target, loss._true_noise())
     consistency, denoising = (np.array([e.value for e in c]) for c in curves)
     return {"tau_grid": grid, "consistency": consistency, "denoising": denoising}

@@ -384,6 +384,14 @@ def test_metrics_reject_bad_sample_sets(metric, kind):
                 metric(a, b)
 
 
+def test_metrics_read_1d_sets_as_samples_in_one_dimension():
+    # n scalars are n points on a line, not one point in n dimensions
+    a, b = np.arange(5.0), np.arange(5.0) + 1
+    assert sliced_wasserstein(a, b) == pytest.approx(1.0, rel=1e-12)
+    assert sliced_wasserstein(a, b) == sliced_wasserstein(a[:, None], b[:, None])
+    assert frechet_distance(np.arange(8.0), np.arange(8.0) + 1) == pytest.approx(1.0, rel=1e-12)
+
+
 # ---------------------------------------------------------------------- sweep
 
 

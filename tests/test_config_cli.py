@@ -244,6 +244,23 @@ def test_cli_tune_outputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_out_collision_exits_2_before_writing(tmp_path, capsys):
+    # tune's second output takes --out with a .csv suffix, so --out X.csv
+    # would write both to one path
+    cfg = _small_cfg(tmp_path)
+    out = tmp_path / "res" / "tuned.csv"
+    assert cli.main(["tune", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"would be written to {out}" in err and "Traceback" not in err, err
+    assert not (tmp_path / "res").exists()
+    out = tmp_path / "res" / "tuned.json"
+    assert cli.main(["tune", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} and {out.with_suffix('.csv')}\n"
+    assert sorted(p.name for p in out.parent.iterdir()) == [
+        "tuned.csv", "tuned.json", "tuned.json.meta.json"
+    ]
+
+
 def test_cli_tune_missing_field_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"tuner": {"batch": -3}}))
@@ -417,6 +434,10 @@ def test_cli_malformed_tuned_file_exits_2(tmp_path, capsys):
         dict(doc, trajectory=dict(doc["trajectory"], K="abc")),
         dict(doc, bounds=[[1.0]] + doc["bounds"][1:]),
         [doc],
+        # parsed, but against a library rule: exit 2 naming the file, not 3
+        dict(doc, sampler_kind="euler"),
+        dict(doc, trajectory=dict(doc["trajectory"], points=doc["trajectory"]["points"][::-1])),
+        dict(doc, pairs=[dict(doc["pairs"][0], tau=doc["bounds"][0][1] + 1.0)] + doc["pairs"][1:]),
     ]
     for malformed in wrong_values:
         bad.write_text(json.dumps(malformed))

@@ -1,6 +1,8 @@
 """Solver steps: reduction identity, closed forms, rollout determinism."""
 
+from dataclasses import replace
 from math import exp, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,17 +11,22 @@ from _oracles import step_coefficient, t_of_alpha, t_of_sigma
 from steptuner import (
     ContractError,
     DomainError,
+    NoiseSchedule,
     SamplerConfig,
     baseline_tuned,
     ddim_step,
     ddim_step_baseline,
     dpm_solver2_step,
+    load_config,
     make_trajectory,
     midpoint_time,
     sample_path,
+    tune,
 )
 from steptuner.samplers import step_constants
 from steptuner.trajectory import Trajectory, TunedTrajectory
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 # Step coefficients for the pair of times with squared signal fractions
 # 0.36 and 0.81 on the default schedule (single standard component), frozen
@@ -235,9 +242,42 @@ def test_step_domain_errors(gmm8_model, rng):
         ddim_step(x, 100.0, 50.0, np.array([80.0, 0.0]), gmm8_model)
     with pytest.raises(DomainError):
         dpm_solver2_step(x, 100.0, 50.0, np.array([90.0, 80.0]), np.array([70.0, 60.0]), gmm8_model)
-    with pytest.raises(ContractError):
-        ddim_step(x, 100.0, 50.0, 80.0, gmm8_model,
-                  consts=step_constants(gmm8_model.schedule, 100.0, 40.0))
+
+
+def test_step_constants_cached_per_schedule_and_kind(schedule):
+    # one interval under two schedules and both kinds: four sets of constants
+    steep = NoiseSchedule(beta_max=0.03)
+    for sched in (schedule, steep, schedule, steep):
+        a_from, s_from = sched.alpha_sigma(300.0)
+        a_to, s_to = sched.alpha_sigma(120.0)
+        assert step_constants(sched, 300.0, 120.0, "ddim-family") == (
+            a_from, s_from, a_to, s_to, 0.0, 0.0, 0.0
+        )
+        a_mid, s_mid = sched.alpha_sigma(midpoint_time(sched, 300.0, 120.0))
+        h = sched.log_snr(120.0) - sched.log_snr(300.0)
+        assert step_constants(sched, 300.0, 120.0, "dpm-solver-2") == (
+            a_from, s_from, a_to, s_to, h, a_mid, s_mid
+        )
+    assert step_constants(schedule, 300.0, 120.0) != step_constants(steep, 300.0, 120.0)
+
+
+def test_step_constants_do_not_cache_errors(schedule):
+    # dpm-solver-2 below t_eps is rejected on every call, not only the first
+    held = step_constants.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            step_constants(schedule, 100.0, 0.5, "dpm-solver-2")
+    assert step_constants.cache_info().currsize == held
+
+
+def test_sequential_tune_builds_each_step_constants_once():
+    # the rolled prefix steps reuse the constants their own search built
+    cfg = load_config(CONFIGS / "gmm8_dpm2.json")
+    schedule, model, traj, sampler = cfg.build()
+    assert traj.K == 10 and cfg.tuner.strategy == "sequential"
+    step_constants.cache_clear()
+    tune(replace(cfg.tuner, batch=32, coarse_grid=3, refine_tol=50.0), traj, sampler, model)
+    assert step_constants.cache_info().misses <= 10
 
 
 def test_rollout_kind_mismatch(gmm8_model, schedule, rng):
