@@ -23,7 +23,7 @@ from .oracle import GaussianMixtureOracle
 from .rng import PURPOSE_PATHS, PURPOSE_PROJ, derive_rng
 from .samplers import SamplePath, SamplerConfig, _deterministic_part, sample_path
 from .trajectory import Trajectory, TunedTrajectory, baseline_tuned
-from .tuner import _consistency, _mean_stderr, _prediction_time
+from .tuner import _consistency, _mean_stderr, _prediction_time, _sum_last
 
 # projection directions per chunk in sliced_wasserstein
 _PROJ_CHUNK = 16
@@ -171,6 +171,11 @@ def reference_path(
     return SamplePath(states=states, trajectory_points=pts)
 
 
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Row norms of d, as np.linalg.norm(d, axis=-1) takes them (see ``_sum_last``)."""
+    return np.sqrt(_sum_last(d * d))
+
+
 def gap_profile(coarse: SamplePath, reference: SamplePath) -> GapReport:
     """Mean L2 distance to the reference at every coarse checkpoint.
 
@@ -185,7 +190,7 @@ def gap_profile(coarse: SamplePath, reference: SamplePath) -> GapReport:
     rows = []
     for i, t in enumerate(coarse.trajectory_points):
         gt = reference.state_at(_nearest(reference.trajectory_points, t))
-        mean_gap, stderr = _mean_stderr(np.linalg.norm(coarse.state_at(i) - gt, axis=1))
+        mean_gap, stderr = _mean_stderr(_norms(coarse.state_at(i) - gt))
         rows.append((i, float(t), mean_gap, stderr, n_paths))
     return GapReport(rows=rows)
 
@@ -414,7 +419,7 @@ def error_bound_report(
         [(loss, _)] = _consistency(model, y, _prediction_time(model, pts[l - 1]), target)
         root_losses.append(sqrt(loss))
         d = model.epsilon(gt[l], pts[l]) - model.epsilon(gt[l - 1], pts[l - 1])
-        continuity.append(float(np.mean(np.linalg.norm(d, axis=1))))
+        continuity.append(float(np.mean(_norms(d))))
 
     unit = np.allclose(model.means, 0) and np.allclose(model.scales, 1)
     C = 1.0 / sched.alpha_sigma(pts[1])[1] if unit and len(model.weights) == 1 else None

@@ -123,8 +123,7 @@ def cmd_tune(args, cfg, schedule, model, traj, sampler) -> tuple:
         {"step": r.step, "t_site": r.t_site, "fell_back": r.fell_back, "n_evals": r.n_evals}
         for r in records
     ]
-    outputs = [("tuned.json", tuned_to_json(tuned, schedule)), ("tuned.csv", csv)]
-    return outputs, {"tune": sites}
+    return [tuned_to_json(tuned, schedule), csv], {"tune": sites}
 
 
 def cmd_sample(args, cfg, schedule, model, traj, sampler) -> tuple:
@@ -134,7 +133,7 @@ def cmd_sample(args, cfg, schedule, model, traj, sampler) -> tuple:
     # one format call over all values; "{!r}" is repr, so each row reads
     # as ",".join(map(repr, row))
     row = ",".join(["{!r}"] * final.shape[1]) + "\n"
-    return [("samples.csv", (row * len(final)).format(*final.ravel().tolist()))], {}
+    return [(row * len(final)).format(*final.ravel().tolist())], {}
 
 
 def cmd_gap(args, cfg, schedule, model, traj, sampler) -> tuple:
@@ -146,7 +145,7 @@ def cmd_gap(args, cfg, schedule, model, traj, sampler) -> tuple:
         x_T, model, _DENSE_K, t_min=float(traj.points[0]),
         checkpoints=coarse.trajectory_points,
     )
-    return [("gap.csv", gap_profile(coarse, reference).to_csv())], {}
+    return [gap_profile(coarse, reference).to_csv()], {}
 
 
 def cmd_sweep(args, cfg, schedule, model, traj, sampler) -> tuple:
@@ -158,7 +157,7 @@ def cmd_sweep(args, cfg, schedule, model, traj, sampler) -> tuple:
         traj, tuned, sampler, model, args.n, seed=cfg.seeds.sample
     )
     rows = [f"{m},{r.frechet!r},{r.sliced_wasserstein!r}" for m, r in enumerate(reports)]
-    return [("sweep.csv", "\n".join(["m,fd,swd"] + rows) + "\n")], {}
+    return ["\n".join(["m,fd,swd"] + rows) + "\n"], {}
 
 
 def cmd_eval(args, cfg, schedule, model, traj, sampler) -> tuple:
@@ -169,7 +168,7 @@ def cmd_eval(args, cfg, schedule, model, traj, sampler) -> tuple:
     data = model.sample_data(args.n, cfg.seeds.data)
     report = evaluate_samples(path.states[-1], data, seed=cfg.seeds.eval)
     doc = dict(report.to_dict(), tuned=is_tuned)
-    return [("eval.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")], {}
+    return [json.dumps(doc, indent=2, sort_keys=True) + "\n"], {}
 
 
 def _write(path: Path, text: str) -> None:
@@ -182,26 +181,28 @@ def _write(path: Path, text: str) -> None:
 
 
 def _run(args) -> int:
-    """Load and build the config, run the command, write its outputs.
+    """Load the config, place the outputs, build and run the command, write.
 
-    A command returns its (default name, text) outputs and a dict of what
-    the run did, for the sidecar. The first output goes to --out, or under
-    its default name to the config's out_dir; each further one goes next to
-    it with its own suffix, and a path that two outputs would share exits 2
-    before anything is written. The ``.meta.json`` sidecar, which echoes the
-    settings used, sits by the first.
+    A command returns the texts of its outputs, in the order of its names
+    in ``_COMMANDS``, and a dict of what the run did, for the sidecar. The
+    first output goes to --out, or under its default name to the config's
+    out_dir; each further one goes next to it with its own suffix, and a
+    path that two outputs would share exits 2 before the command runs. The
+    ``.meta.json`` sidecar, which echoes the settings used, sits by the
+    first.
     """
     cfg = _load(args)
-    outputs, report = _COMMANDS[args.command](args, cfg, *cfg.build())
-    first = Path(args.out) if args.out is not None else Path(cfg.out_dir) / outputs[0][0]
-    paths = [first] + [first.with_suffix(Path(name).suffix) for name, _ in outputs[1:]]
+    command, names = _COMMANDS[args.command]
+    first = Path(args.out) if args.out is not None else Path(cfg.out_dir) / names[0]
+    paths = [first] + [first.with_suffix(Path(name).suffix) for name in names[1:]]
     for j, path in enumerate(paths):
         if path in paths[:j]:
             raise ConfigError(
                 f"--out {first}: two outputs of {args.command} would be written to "
                 f"{path}; give --out another suffix"
             )
-    for path, (_, text) in zip(paths, outputs):
+    texts, report = command(args, cfg, *cfg.build())
+    for path, text in zip(paths, texts):
         _write(path, text)
     meta = {
         "tool": "steptuner",
@@ -223,12 +224,13 @@ def _run(args) -> int:
     return 0
 
 
+# each command with the default names of its outputs, first to last
 _COMMANDS = {
-    "tune": cmd_tune,
-    "sample": cmd_sample,
-    "gap": cmd_gap,
-    "sweep": cmd_sweep,
-    "eval": cmd_eval,
+    "tune": (cmd_tune, ("tuned.json", "tuned.csv")),
+    "sample": (cmd_sample, ("samples.csv",)),
+    "gap": (cmd_gap, ("gap.csv",)),
+    "sweep": (cmd_sweep, ("sweep.csv",)),
+    "eval": (cmd_eval, ("eval.json",)),
 }
 
 

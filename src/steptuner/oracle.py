@@ -13,12 +13,18 @@ the true posterior mean of the noise given x_t = x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError
 from .rng import BLOCK, PURPOSE_DATA, per_sample_map
 from .schedule import NoiseSchedule
+
+# exp of a value below about -708.4 is subnormal, and numpy computes it on a
+# scalar path some hundred times slower; ``epsilon`` and ``score`` floor
+# their shifted logits here first when a point could reach that far
+_EXP_FLOOR = -707.5
 
 
 def _as_floats(name: str, value) -> np.ndarray:
@@ -43,17 +49,27 @@ class OracleTimes:
     (G, 1)). ``table[j]`` is the one-time table of time j. Pass a table or
     a row as the t of ``epsilon``, ``score``, ``responsibilities`` or
     ``log_density`` of the oracle that built it.
+
+    safe_r2 bounds the exp floor: at points with ||x||^2 <= safe_r2 no
+    shifted logit falls below ``_EXP_FLOOR`` (negative when no point is
+    safe). A G-time table holds the least of its rows' values, which
+    row_safe_r2 keeps as a (G,) array.
     """
 
     model: GaussianMixtureOracle = field(repr=False)
     t: object
     C: np.ndarray
     sigma: object
+    safe_r2: float
+    row_safe_r2: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __getitem__(self, j: int) -> OracleTimes:
         if np.ndim(self.t) == 0:
             raise DomainError("a table of one time has no rows")
-        return OracleTimes(self.model, float(self.t[j]), self.C[j], float(self.sigma[j, 0]))
+        return OracleTimes(
+            self.model, float(self.t[j]), self.C[j], float(self.sigma[j, 0]),
+            float(self.row_safe_r2[j]),
+        )
 
 
 @dataclass(frozen=True)
@@ -85,6 +101,10 @@ class GaussianMixtureOracle:
         object.__setattr__(self, "_log_norms", np.log(weights) - (0.5 * D) * np.log(2.0 * np.pi))
         object.__setattr__(self, "_scales_sq", scales**2)
         object.__setattr__(self, "_half_means_sq", 0.5 * np.einsum("kd,kd->k", means, means))
+        # the exp floor's bound safe_r2 = a alpha^2 + b sigma^2 (see ``times``)
+        b = -_EXP_FLOOR - 0.5 - np.ptp(np.log(weights)) - D * np.log(scales.max() / scales.min())
+        a = b * scales.min() ** 2 - 2.0 * self._half_means_sq.max()
+        object.__setattr__(self, "_safe_ab", (float(a), float(b)))
 
     @property
     def dim(self) -> int:
@@ -104,6 +124,15 @@ class GaussianMixtureOracle:
         gains a leading axis of G and sigma is (G, 1); row j of the table
         equals the table of time j bitwise. A caller that knows its times in
         advance builds the table once and passes it, or its rows, as t.
+
+        The exp floor's bound: a shifted logit g_k - max_j g_j at a point of
+        norm R is at least -(log(w_max / w_min) + (D/2) log(v_max / v_min) +
+        (R + alpha max_k ||mu_k||)^2 / (2 v_min)). With v_max / v_min <=
+        c_max^2 / c_min^2 and (R + m)^2 <= 2 R^2 + 2 m^2 this stays at or
+        above ``_EXP_FLOOR`` + 1/2 while R^2 <= safe_r2 = b v_min - alpha^2
+        max_k ||mu_k||^2, where b = -``_EXP_FLOOR`` - 1/2 - log(w_max / w_min)
+        - D log(c_max / c_min); the half nat covers the rounding of the
+        logits. safe_r2 = a alpha^2 + b sigma^2 for two per-model constants.
         """
         alpha, sigma = self.schedule.alpha_sigma(t)
         if isinstance(alpha, np.ndarray):  # G times
@@ -123,10 +152,15 @@ class GaussianMixtureOracle:
         )
         C[..., D + 2] = 1.0
         C.flags.writeable = False
-        return OracleTimes(self, t, C, sigma)
+        a, b = self._safe_ab
+        safe = a * (alpha * alpha) + b * (sigma * sigma)
+        if isinstance(safe, np.ndarray):
+            safe = safe.ravel()
+            return OracleTimes(self, t, C, sigma, float(safe.min()), safe)
+        return OracleTimes(self, t, C, sigma, safe)
 
     def _logits(self, x: np.ndarray, t) -> tuple:
-        """(g, X, C, sigma, n): the (k, n) logits as one matmul C[:, :D + 2] @ X.
+        """(g, X, table, n, r2): the (k, n) logits as one matmul C[:, :D + 2] @ X.
 
         t is a time, a 1-D array of times, or a table of ``times``; plain
         times are turned into their table first, so every call runs this
@@ -134,42 +168,50 @@ class GaussianMixtureOracle:
         components run along contiguous rows. A one-row x is evaluated as
         that row twice, because numpy's matrix-vector kernel rounds
         differently from its matrix-matrix one; n is the caller's row count.
+        r2 is the largest squared norm of a point, from X's last row; it is
+        finite exactly when every coordinate is finite and no squared norm
+        overflows, which is the check of the input.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DomainError(f"oracle needs points of shape (n, {self.dim}), got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise DomainError("oracle evaluated at non-finite point")
-        table = t if isinstance(t, OracleTimes) else self.times(t)
-        if table.model is not self:
-            raise DomainError("t: a table built by another oracle")
         n, D = x.shape
         X = np.empty((D + 2, 2 if n == 1 else n))
         X[0] = 1.0
         X[1 : D + 1] = x.T
         np.einsum("dn,dn->n", X[1 : D + 1], X[1 : D + 1], out=X[D + 1])
         X[D + 1] *= -0.5
-        C = table.C
-        return C[..., : D + 2] @ X, X, C, table.sigma, n
+        r2 = -2.0 * float(X[D + 1].min(initial=0.0))
+        if not r2 < np.inf:
+            if np.all(np.isfinite(x)):
+                raise DomainError("oracle evaluated at a point whose squared norm overflows")
+            raise DomainError("oracle evaluated at non-finite point")
+        table = t if isinstance(t, OracleTimes) else self.times(t)
+        if table.model is not self:
+            raise DomainError("t: a table built by another oracle")
+        return table.C[..., : D + 2] @ X, X, table, n, r2
 
     @staticmethod
-    def _exp_shifted(g: np.ndarray) -> np.ndarray:
-        """exp(g - max_k g) in place; returns the (..., n) column maxima."""
+    def _exp_shifted(g: np.ndarray, floor: bool = False) -> np.ndarray:
+        """exp(g - max_k g) in place, the exponents first floored at
+        ``_EXP_FLOOR`` if floor is set; returns the (..., n) column maxima."""
         m = g.max(axis=-2)
         g -= m[..., None, :]
+        if floor:
+            np.maximum(g, _EXP_FLOOR, out=g)
         np.exp(g, out=g)
         return m
 
     def responsibilities(self, x: np.ndarray, t) -> np.ndarray:
         """(n, k) posterior component probabilities, stable in log space."""
-        g, _, _, _, n = self._logits(x, t)
+        g, _, _, n, _ = self._logits(x, t)
         self._exp_shifted(g)
         g /= g.sum(axis=-2)[..., None, :]
         return g[..., :n].swapaxes(-1, -2)
 
     def log_density(self, x: np.ndarray, t) -> np.ndarray:
         """log q_t(x) via log-sum-exp over components."""
-        g, _, _, _, n = self._logits(x, t)
+        g, _, _, n, _ = self._logits(x, t)
         out = (self._exp_shifted(g) + np.log(g.sum(axis=-2)))[..., :n]
         if np.asarray(x).ndim == 1:
             out = out[..., 0]
@@ -182,15 +224,22 @@ class GaussianMixtureOracle:
         the score sum_k r_k (alpha mu_k - x) / v_k for responsibilities
         r = g / sum_k g_k is (M[:D] - x^T M[D]) / M[D + 1]: the (k, n) array
         is never divided, only the (n, D) result, once.
+
+        The shifted logits are floored at ``_EXP_FLOOR`` when the table's
+        bound says a point could fall below it. A floored component's weight
+        exp(-707.5) ~ 5e-308 against the largest one's 1 changes no moment
+        that another component contributes to, and whether the floor is
+        taken never changes a row: a row with a logit below the floor takes
+        it in every batch.
         """
-        g, X, C, sigma, n = self._logits(x, t)
+        g, X, table, n, r2 = self._logits(x, t)
         D = self.dim
-        self._exp_shifted(g)
-        M = C[..., 1:].swapaxes(-1, -2) @ g
+        self._exp_shifted(g, floor=r2 > table.safe_r2)
+        M = table.C[..., 1:].swapaxes(-1, -2) @ g
         del g  # free the (k, n) array before the (D, n) temporaries
         s = M[..., :D, :]
         s -= X[1 : D + 1] * M[..., D : D + 1, :]
-        scale = (-sigma if times_sigma else 1.0) / M[..., D + 1, :]
+        scale = (-table.sigma if times_sigma else 1.0) / M[..., D + 1, :]
         # written through a transposed view into a C-contiguous (n, D) array:
         # returning the transposed view itself slows every elementwise consumer
         out = np.empty(s.shape[:-2] + (s.shape[-1], D))

@@ -230,19 +230,28 @@ def site_step(
     The other sites stay at taus. The function takes a 1-D array of G
     candidate times and returns the (G, n, D) stepped states, each equal
     bitwise to ``step`` at its one time. What does not depend on the
-    candidate is computed here, once: with the first site of a
-    two-evaluation step held, its stage-1 state.
+    candidate is computed here, once: for a two-evaluation step, the
+    oracle's table of the held midpoint-site time when the first site
+    varies, and the stage-1 state of the held first site when the second
+    varies. An eta-family step has one site and goes through ``step``.
     """
-    if site == 0:
-        return lambda cand: step(
-            x, t_from, t_to, (cand,) + tuple(taus[1:]), model, sampler, noise
-        )
+    if sampler.kind == "ddim-family":
+        return lambda cand: step(x, t_from, t_to, (cand,), model, sampler, noise)
     c = step_constants(model.schedule, t_from, t_to, sampler.kind)
-    _check_taus(model.schedule.T, taus[0])
+    T = model.schedule.T
+    _check_taus(T, taus[1 - site])
+    if site == 0:
+        held = model.times(taus[1])
+
+        def stepped(cand):
+            _check_taus(T, cand)
+            return _midpoint_update(x, _midpoint_state(x, c, cand, model), c, held, model)
+
+        return stepped
     u = _midpoint_state(x, c, taus[0], model)
 
     def stepped(cand):
-        _check_taus(model.schedule.T, cand)
+        _check_taus(T, cand)
         return _midpoint_update(x, u, c, cand, model)
 
     return stepped

@@ -106,9 +106,30 @@ def _mean_stderr(per_row: np.ndarray) -> tuple:
     """Mean of per-row values along the last axis and its standard error (0
     for a single row): floats for one set of rows, lists for a stack of them."""
     n = per_row.shape[-1]
-    mean = per_row.mean(axis=-1)
-    stderr = per_row.std(axis=-1, ddof=1) / sqrt(n) if n > 1 else np.zeros_like(mean)
-    return mean.tolist(), stderr.tolist()
+    mean = per_row.mean(axis=-1, keepdims=True)
+    if n > 1:
+        # np.std(ddof=1) in its own steps, on the mean already taken
+        d = per_row - mean
+        d *= d
+        stderr = np.sqrt(d.sum(axis=-1) / (n - 1)) / sqrt(n)
+    else:
+        stderr = np.zeros_like(mean[..., 0])
+    return mean[..., 0].tolist(), stderr.tolist()
+
+
+def _sum_last(d: np.ndarray) -> np.ndarray:
+    """np.sum(d, axis=-1) for a short last axis, as one add per column.
+
+    numpy reduces a short trailing axis one output at a time, which costs
+    far more than D - 1 whole-array adds. The columns are added left to
+    right, which is the order numpy itself takes for D <= 7, so the two
+    agree bitwise there; for D >= 8 numpy sums in pairwise blocks and the
+    last bits can differ.
+    """
+    out = d[..., 0].copy()
+    for j in range(1, d.shape[-1]):
+        out += d[..., j]
+    return out
 
 
 def _prediction_time(model: GaussianMixtureOracle, t_to: float) -> OracleTimes:
@@ -133,7 +154,7 @@ def _consistency(
     for target in targets:
         d = pred - target
         d *= d
-        out.append(_mean_stderr(np.sum(d, axis=-1)))
+        out.append(_mean_stderr(_sum_last(d)))
     return out
 
 

@@ -244,15 +244,20 @@ def test_cli_tune_outputs(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_out_collision_exits_2_before_writing(tmp_path, capsys):
+def test_cli_out_collision_exits_2_before_writing(tmp_path, capsys, monkeypatch):
     # tune's second output takes --out with a .csv suffix, so --out X.csv
-    # would write both to one path
+    # would write both to one path; that is found before the tune runs
+    def no_tune(*args):
+        raise AssertionError("tune ran before the output paths were checked")
+
+    monkeypatch.setattr(cli, "run_tune", no_tune)
     cfg = _small_cfg(tmp_path)
     out = tmp_path / "res" / "tuned.csv"
     assert cli.main(["tune", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"would be written to {out}" in err and "Traceback" not in err, err
     assert not (tmp_path / "res").exists()
+    monkeypatch.undo()
     out = tmp_path / "res" / "tuned.json"
     assert cli.main(["tune", "--config", cfg, "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote {out} and {out.with_suffix('.csv')}\n"

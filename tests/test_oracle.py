@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _oracles import finite_difference_gradient, mixture_posterior
 from steptuner import DomainError, GaussianMixtureOracle, NoiseSchedule, gmm8, standard_gaussian
 from steptuner.analysis import _dense_points
+from steptuner import oracle as oracle_module
 from steptuner.oracle import make_oracle
 from steptuner.rng import PURPOSE_DATA, derive_rng
 
@@ -62,22 +63,62 @@ def test_expanded_distances_match_direct_formula(schedule, name):
                 assert rel < 1e-10, (method, t, radius, rel)
 
 
-def test_subnormal_weights_match_direct_formula(schedule):
+def test_subnormal_weights_match_direct_formula(schedule, monkeypatch):
     # near the gmm8 modes at small t, opposite modes lie hundreds of nats
-    # below the nearest one, where exp of the shifted log weight is subnormal
+    # below the nearest one, where exp of the shifted log weight is subnormal;
+    # epsilon and score floor those logits first, and still match
     model = gmm8(schedule)
     rng = np.random.default_rng(5)
     x = np.repeat(model.means, 8, axis=0) + 0.01 * rng.standard_normal((64, 2))
+    floors = []
+    real = GaussianMixtureOracle._exp_shifted
+
+    def recording(g, floor=False):
+        floors.append(floor)
+        return real(g, floor)
+
+    monkeypatch.setattr(GaussianMixtureOracle, "_exp_shifted", staticmethod(recording))
     lowest = 0.0
     for t in (schedule.t_eps, 1.0, 2.0, 3.0):
         direct = mixture_posterior(model, x, t)
         lowest = min(lowest, direct["shifted_log_weights"].min())
         for method in METHODS:
+            floors.clear()
             want = direct[method]
             got = getattr(model, method)(x, t)
             rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert rel < 1e-10, (method, t, rel)
+            if t <= 2.0:
+                assert floors == [method in ("epsilon", "score")], (method, t)
     assert lowest < -708.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=6),
+    D=st.integers(min_value=1, max_value=5),
+    radius=st.floats(min_value=0.0, max_value=10.0),
+    t=st.one_of(st.sampled_from(["t_eps", 0.0, 1000.0]), st.floats(0.0, 1000.0)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_exp_floor_bound_is_sound(schedule, k, D, radius, t, seed):
+    # a point the table calls safe (||x||^2 <= safe_r2) has no shifted logit
+    # below the floor, so whether a batch takes the floor never changes a
+    # row; points sit anywhere within the radius and near the scaled modes
+    t = schedule.t_eps if t == "t_eps" else t
+    rng = np.random.default_rng(seed)
+    model = _random_mixture(schedule, rng, k, D)
+    x = rng.standard_normal((32, D))
+    x *= rng.uniform(0.0, radius, (32, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    alpha, _ = schedule.alpha_sigma(t)
+    near = alpha * model.means[rng.integers(k, size=32)] + 0.01 * rng.standard_normal((32, D))
+    x = np.concatenate([x, near])
+    table = model.times(t)
+    shifted = mixture_posterior(model, x, t)["shifted_log_weights"]
+    safe = np.sum(x * x, axis=1) <= table.safe_r2
+    assert np.all(shifted[safe] >= oracle_module._EXP_FLOOR)
+    grid = model.times(np.array([t, 0.5 * t, schedule.T]))
+    assert grid.safe_r2 == min(grid[j].safe_r2 for j in range(3))
 
 
 def test_nan_time_rejected(gmm8_model):
@@ -439,6 +480,28 @@ def test_validation_errors(schedule):
 def test_non_finite_input_rejected(gmm8_model):
     with pytest.raises(DomainError):
         gmm8_model.score(np.array([np.nan, 0.0]), 10.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        for row in (0, 3, 6):
+            x = np.zeros((7, 2))
+            x[row, row % 2] = bad
+            for method in METHODS:
+                with pytest.raises(DomainError, match="non-finite point"):
+                    getattr(gmm8_model, method)(x, 10.0)
+    # finite, but its squared norm overflows
+    x = np.zeros((5, 2))
+    x[2, 1] = 1e200
+    for method in METHODS:
+        with pytest.raises(DomainError, match="squared norm overflows"):
+            getattr(gmm8_model, method)(x, 10.0)
+
+
+def test_empty_batch(gmm8_model):
+    x = np.zeros((0, 2))
+    assert gmm8_model.epsilon(x, 10.0).shape == (0, 2)
+    assert gmm8_model.score(x, 10.0).shape == (0, 2)
+    assert gmm8_model.epsilon(x, np.array([1.0, 10.0, 500.0])).shape == (3, 0, 2)
+    assert gmm8_model.responsibilities(x, 10.0).shape == (0, 8)
+    assert gmm8_model.log_density(x, 10.0).shape == (0,)
 
 
 def test_gmm8_preset(schedule):

@@ -26,6 +26,7 @@ from steptuner import (
     tune,
 )
 import steptuner
+from steptuner import analysis as analysis_module
 from steptuner import tuner as tuner_module
 from steptuner.samplers import step
 from steptuner.trajectory import midpoint_time
@@ -204,6 +205,54 @@ def test_batched_site_scores_equal_per_candidate_scores(
         probe[site] = value
         assert (est.value, est.stderr) == _scalar_loss(loss, probe)
         assert est == loss(tuple(probe))
+
+
+def test_dpm2_first_site_builds_held_table_once(gmm8_model, schedule, monkeypatch):
+    # while the first site varies, the held midpoint-site time gets one
+    # oracle table per site however many passes score the candidates
+    traj = make_trajectory("quadratic", 5, schedule, t_min=schedule.t_eps)
+    loss = StepLoss(3, traj, gmm8_model, SamplerConfig(kind="dpm-solver-2"), batch=3000, seed=6)
+    held = float(baseline_tuned(traj, schedule, "dpm-solver-2").taus_for_step(3)[1]) - 9.0
+    built = []
+    real = GaussianMixtureOracle.times
+
+    def counting(model, t):
+        built.append(t)
+        return real(model, t)
+
+    monkeypatch.setattr(GaussianMixtureOracle, "times", counting)
+    values = np.linspace(traj.points[2], traj.points[3], 7)
+    estimates = loss.site(0, (traj.points[3], held))(values)  # four passes
+    assert sum(np.ndim(t) == 0 and t == held for t in built) == 1, built
+    monkeypatch.undo()
+    for value, est in zip(values, estimates):
+        assert est == loss((value, held))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=2),
+    D=st.integers(min_value=1, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sum_last_equals_numpy_sum_for_short_axes(shape, D, seed):
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(tuple(shape) + (D,)) * np.exp(rng.uniform(-30.0, 30.0, D))
+    assert np.array_equal(tuner_module._sum_last(d), np.sum(d, axis=-1))
+    assert np.array_equal(analysis_module._norms(d), np.linalg.norm(d, axis=-1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.lists(st.integers(min_value=1, max_value=5), min_size=0, max_size=1),
+    n=st.integers(min_value=1, max_value=5000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mean_stderr_equals_numpy_mean_and_std(shape, n, seed):
+    per_row = np.random.default_rng(seed).exponential(size=tuple(shape) + (n,))
+    stderr = per_row.std(axis=-1, ddof=1) / sqrt(n) if n > 1 else np.zeros(shape)
+    want = (per_row.mean(axis=-1).tolist(), stderr.tolist())
+    assert tuner_module._mean_stderr(per_row) == want
 
 
 def _per_point(losses, bounds, coarse_grid=33, tol=0.01):
