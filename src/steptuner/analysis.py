@@ -353,13 +353,18 @@ def step_replacement_sweep(
     model: GaussianMixtureOracle,
     n_samples: int,
     seed: int = 0,
+    data_seed: int = 1,
+    eval_seed: int = 2,
 ) -> list:
     """Metrics as tuned conditioning times replace untuned ones step by step.
 
     Element m of the result uses tuned times at the first m steps walked
     (from t_K downward) and untuned times elsewhere; m = 0 is the baseline
     and m = K the fully tuned sampler. All m share the same start states
-    and the same fresh data draw. The tuned path is rolled once, and hybrid
+    (drawn with seed) and the same fresh data (drawn with data_seed), and
+    each report is ``evaluate_samples`` of its hybrid with eval_seed, as
+    ``eval`` scores a sampler; the defaults are the config's default seeds.
+    The tuned path is rolled once, and hybrid
     m is its state at t_{K-m} rolled through the untuned steps K-m..1: K +
     K(K+1)/2 solver steps in all. A step's eta > 0 noise depends only on
     its index, so this equals rolling each hybrid from x_T.
@@ -368,13 +373,13 @@ def step_replacement_sweep(
         raise ContractError("tuned trajectory does not match the base trajectory")
     base = baseline_tuned(traj, model.schedule, sampler.kind)
     x_T = draw_start_states(model, n_samples, seed)
-    data = model.sample_data(n_samples, seed + 1)
+    data = model.sample_data(n_samples, data_seed)
     rolled = sample_path(x_T, tuned, sampler, model)
     finals = [  # hybrid m = K - j leaves the tuned path at t_j
         sample_path(rolled.state_at(j), base, sampler, model, start=j).states[-1].copy()
         for j in range(traj.K, -1, -1)
     ]
-    return _evaluate_many(finals, data, seed, 128)
+    return _evaluate_many(finals, data, eval_seed, 128)
 
 
 def error_bound_report(

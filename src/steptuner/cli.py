@@ -153,8 +153,9 @@ def cmd_sweep(args, cfg, schedule, model, traj, sampler) -> tuple:
         raise ConfigError("sweep requires --tuned")
     tuned, _ = _load_tuned(args, traj, schedule, sampler)
     _require_n(args, model.dim + 1)
+    seeds = cfg.seeds
     reports = step_replacement_sweep(
-        traj, tuned, sampler, model, args.n, seed=cfg.seeds.sample
+        traj, tuned, sampler, model, args.n, seeds.sample, seeds.data, seeds.eval
     )
     rows = [f"{m},{r.frechet!r},{r.sliced_wasserstein!r}" for m, r in enumerate(reports)]
     return ["\n".join(["m,fd,swd"] + rows) + "\n"], {}

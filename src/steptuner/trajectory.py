@@ -49,6 +49,8 @@ class TunedTrajectory:
                 f"{self.sampler_kind} with K={self.base.K} needs "
                 f"{per_step * self.base.K} conditioning times, got {taus.shape}"
             )
+        if not np.all(np.isfinite(taus) & (taus > 0)):
+            raise DomainError(f"conditioning times must be finite and positive, got {taus}")
         if len(self.bounds) not in (0, len(taus)):
             raise ContractError(f"{len(self.bounds)} bounds for {len(taus)} taus")
         for tau, (lo, hi) in zip(taus, self.bounds):

@@ -44,12 +44,7 @@ from .errors import DomainError, NumericError
 from .oracle import GaussianMixtureOracle, OracleTimes
 from .rng import PURPOSE_TUNE, check_seed
 from .samplers import SamplerConfig, site_step, step
-from .trajectory import (
-    Trajectory,
-    TunedTrajectory,
-    baseline_tuned,
-    evaluations_per_step,
-)
+from .trajectory import Trajectory, TunedTrajectory, baseline_tuned
 
 _GOLDEN = (sqrt(5.0) - 1.0) / 2.0
 
@@ -192,6 +187,8 @@ class StepLoss:
     ):
         if not (1 <= i <= traj.K):
             raise DomainError(f"step index must lie in [1, {traj.K}], got {i}")
+        if batch < 1:
+            raise DomainError(f"batch: must be >= 1, got {batch}")
         if prefix is not None and len(prefix) != traj.K - i:
             raise DomainError(
                 f"rolled loss at step {i} needs {traj.K - i} prefix entries, "
@@ -337,72 +334,56 @@ def tune(
     untuned midpoint, then the midpoint-site time given the first).
     """
     sched = model.schedule
-    per_step = evaluations_per_step(sampler.kind)
-    # one slot per evaluation site, step-ascending: per_step*(i-1) + site
-    taus = np.empty(per_step * traj.K)
-    bounds = [None] * len(taus)
-    records = [None] * len(taus)
-    chosen: list = []  # per-step site tuples, rollout order K..i+1
     untuned = baseline_tuned(traj, sched, sampler.kind)
+    records: list = []  # step-ascending: each step's records go in front
+    chosen: list = []  # per-step site tuples, rollout order K..i+1
     for i in range(traj.K, 0, -1):
         loss = StepLoss(
             i, traj, model, sampler, cfg.batch, cfg.seed,
             prefix=chosen if cfg.strategy == "sequential" else None,
         )
-        lo, hi = _search_bounds(cfg.bounds, traj, i, sched.t_eps)
-        baseline_sites = tuple(untuned.taus_for_step(i))
-        sites = list(baseline_sites)
-        flags = []
-        n_evals = [0] * per_step
-        scored = {}  # site tuple -> LossEstimate, for every candidate scored at step i
-        for site_idx in range(per_step):
-            scores = loss.site(site_idx, sites)
+        bounds = _search_bounds(cfg.bounds, traj, i, sched.t_eps)
+        base = tuple(untuned.taus_for_step(i))
+        sites = list(base)
+        scored, n_evals, flags = [], [], []  # per site: {time: LossEstimate}, count, flag
+        for idx in range(len(base)):
+            scores, probes = loss.site(idx, sites), []
 
             def site_losses(values):
                 estimates = scores(values)
-                for value, est in zip(values, estimates):
-                    probe = list(sites)
-                    probe[site_idx] = value
-                    scored[tuple(probe)] = est
-                n_evals[site_idx] += len(estimates)
+                probes.extend(zip(values, estimates))
                 return [est.value for est in estimates]
 
-            tau_star, _, flag = optimize_tau(
-                site_losses, (lo, hi), cfg.coarse_grid, cfg.refine_tol
+            sites[idx], _, flag = optimize_tau(
+                site_losses, bounds, cfg.coarse_grid, cfg.refine_tol
             )
-            sites[site_idx] = tau_star
+            scored.append(dict(probes))
+            n_evals.append(len(probes))
             flags.append(flag)
-        # the search scored the tuned times, and, when they are on the
-        # grid, the untuned ones
-        tuned_est = scored[tuple(sites)]
-        base_est = scored.get(baseline_sites)
-        if base_est is None:
-            base_est = loss(baseline_sites)
+        # the last search scored the tuned times; the first held the other
+        # sites at their untuned times, so it scored the untuned ones
+        # whenever its grid held the untuned time
+        tuned_est = scored[-1][sites[-1]]
+        base_est = scored[0].get(base[0])
+        if base_est is None:  # a grid that misses it, as under bounds "wide"
+            base_est = loss(base)
             n_evals[0] += 1
         fell_back = base_est.value <= tuned_est.value
-        if fell_back:
-            # the untuned times are always in the candidate set
-            sites = list(baseline_sites)
-            flags = [False] * per_step
-            tuned_est = base_est
-        for site_idx in range(per_step):
-            slot = per_step * (i - 1) + site_idx
-            taus[slot] = sites[site_idx]
-            bounds[slot] = (lo, hi)
-            records[slot] = TuneRecord(
-                step=i,
-                t_site=float(baseline_sites[site_idx]),
-                tau=float(sites[site_idx]),
-                loss_baseline=base_est.value,
-                loss_tuned=tuned_est.value,
-                stderr=tuned_est.stderr,
-                boundary=bool(flags[site_idx]),
-                fell_back=fell_back,
-                n_evals=n_evals[site_idx],
+        if fell_back:  # the untuned times are always in the candidate set
+            sites, tuned_est = base, base_est
+        records[:0] = [
+            TuneRecord(
+                step=i, t_site=float(t), tau=float(tau),
+                loss_baseline=base_est.value, loss_tuned=tuned_est.value,
+                stderr=tuned_est.stderr, boundary=flag and not fell_back,
+                fell_back=fell_back, n_evals=n,
             )
+            for t, tau, n, flag in zip(base, sites, n_evals, flags)
+        ]
         chosen.append(tuple(sites))
     tuned = TunedTrajectory(
-        base=traj, taus=taus, bounds=bounds, sampler_kind=sampler.kind
+        base=traj, taus=[r.tau for r in records], sampler_kind=sampler.kind,
+        bounds=[_search_bounds(cfg.bounds, traj, r.step, sched.t_eps) for r in records],
     )
     return tuned, records
 

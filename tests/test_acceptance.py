@@ -213,7 +213,8 @@ def test_c07_replacement_sweep_monotonicity(gmm8_model, traj10, tuned_seq):
     per_seed = []
     for seed in (0, 1, 2):
         reports = step_replacement_sweep(
-            traj10, tuned_seq, SamplerConfig(), gmm8_model, 50_000, seed=seed
+            traj10, tuned_seq, SamplerConfig(), gmm8_model, 50_000, seed=seed,
+            data_seed=seed + 1,
         )
         fds = [r.frechet for r in reports]
         noninc = sum(fds[m + 1] <= fds[m] for m in range(len(fds) - 1))

@@ -399,17 +399,18 @@ def test_step_replacement_sweep_endpoints(gmm8_model, schedule):
     traj = make_trajectory("quadratic", 3, schedule)
     cfg = TunerConfig(batch=256, coarse_grid=9, refine_tol=0.5, seed=0)
     tuned, _ = tune(cfg, traj, SamplerConfig(), gmm8_model)
-    reports = step_replacement_sweep(traj, tuned, SamplerConfig(), gmm8_model, 1024, seed=5)
+    reports = step_replacement_sweep(
+        traj, tuned, SamplerConfig(), gmm8_model, 1024, seed=5, data_seed=8, eval_seed=9
+    )
     assert len(reports) == 4
 
     x_T = draw_start_states(gmm8_model, 1024, 5)
-    data = gmm8_model.sample_data(1024, 6)
+    data = gmm8_model.sample_data(1024, 8)
     base = baseline_tuned(traj, schedule, "ddim-family")
-    e0 = evaluate_samples(generate_paths(x_T, base, SamplerConfig(), gmm8_model).states[-1], data, 5)
-    eK = evaluate_samples(generate_paths(x_T, tuned, SamplerConfig(), gmm8_model).states[-1], data, 5)
-    assert reports[0].frechet == e0.frechet
-    assert reports[0].sliced_wasserstein == e0.sliced_wasserstein
-    assert reports[-1].frechet == eK.frechet
+    e0 = evaluate_samples(generate_paths(x_T, base, SamplerConfig(), gmm8_model).states[-1], data, 9)
+    eK = evaluate_samples(generate_paths(x_T, tuned, SamplerConfig(), gmm8_model).states[-1], data, 9)
+    assert reports[0] == e0
+    assert reports[-1] == eK
 
 
 @pytest.mark.parametrize(
@@ -435,7 +436,9 @@ def test_step_replacement_sweep_equals_hybrids_rolled_from_x_T(
         return real_step(*args, **kwargs)
 
     monkeypatch.setattr(samplers, "step", counting_step)
-    reports = step_replacement_sweep(traj, tuned, sampler, gmm8_model, n, seed=5)
+    reports = step_replacement_sweep(
+        traj, tuned, sampler, gmm8_model, n, seed=5, data_seed=6, eval_seed=5
+    )
     monkeypatch.undo()
     assert len(steps) == K + K * (K + 1) // 2
 

@@ -364,7 +364,8 @@ def test_cli_gap_report(tmp_path, capsys):
 
 
 def test_cli_sweep_requires_tuned_and_writes_rows(tmp_path, capsys):
-    cfg = _small_cfg(tmp_path)
+    # seeds.data is not seeds.sample + 1, so the sweep must read all three
+    cfg = _small_cfg(tmp_path, seeds={"sample": 3, "data": 7, "eval": 11})
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--n", "128"]) == 2
     tuned = tmp_path / "tuned.json"
@@ -376,6 +377,13 @@ def test_cli_sweep_requires_tuned_and_writes_rows(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "m,fd,swd"
     assert len(lines) == 5  # K + 1 rows
+    # its end rows are eval's baseline and fully tuned reports, same seeds
+    for row, extra in ((lines[1], []), (lines[-1], ["--tuned", str(tuned)])):
+        ev = tmp_path / "eval.json"
+        argv = ["eval", "--config", cfg, "--out", str(ev), "--n", "128"]
+        assert cli.main(argv + extra) == 0
+        doc = json.loads(ev.read_text())
+        assert row.split(",")[1:] == [repr(doc["frechet"]), repr(doc["sliced_wasserstein"])]
     capsys.readouterr()
 
 
@@ -443,6 +451,10 @@ def test_cli_malformed_tuned_file_exits_2(tmp_path, capsys):
         dict(doc, sampler_kind="euler"),
         dict(doc, trajectory=dict(doc["trajectory"], points=doc["trajectory"]["points"][::-1])),
         dict(doc, pairs=[dict(doc["pairs"][0], tau=doc["bounds"][0][1] + 1.0)] + doc["pairs"][1:]),
+    ] + [
+        # without bounds a tau is checked against no interval, only its own rule
+        dict(doc, bounds=[], pairs=[dict(doc["pairs"][0], tau=tau)] + doc["pairs"][1:])
+        for tau in (0.0, -5.0, float("nan"), float("inf"))
     ]
     for malformed in wrong_values:
         bad.write_text(json.dumps(malformed))

@@ -107,6 +107,9 @@ def test_sequential_prefix_length_checked(gmm8_model, schedule):
         StepLoss(0, traj, gmm8_model, batch=64, seed=0)
     with pytest.raises(DomainError):
         StepLoss(7, traj, gmm8_model, batch=64, seed=0)
+    for batch in (0, -1):
+        with pytest.raises(DomainError, match="batch"):
+            StepLoss(3, traj, gmm8_model, batch=batch, seed=0)
 
 
 def test_parallel_evaluation_order_irrelevant(gmm8_model, schedule):
@@ -451,6 +454,57 @@ def test_tune_fallback_is_recorded(gmm8_model, schedule):
     r = records[1]
     assert (r.tau, r.loss_tuned, r.boundary) == (r.t_site, r.loss_baseline, False)
     assert tuned.taus[1] == traj.points[2]
+
+
+@pytest.mark.parametrize("kind, t_min", [("ddim-family", 0.0), ("dpm-solver-2", 1.0)])
+def test_tune_wide_bounds_rescores_missed_baseline(gmm8_model, schedule, monkeypatch, kind, t_min):
+    # wide search grids run from t_eps to t_{i+1}, so they miss the untuned
+    # time, and the baseline must be scored after the search
+    K = 3
+    traj = make_trajectory("quadratic", K, schedule, t_min=t_min)
+    sampler = SamplerConfig(kind=kind)
+    cfg = TunerConfig(batch=256, coarse_grid=9, refine_tol=0.5, bounds="wide")
+    scorers = []  # (step source time, site, values scored through it)
+    real_site = StepLoss.site
+
+    def counting_site(self, idx, taus):
+        scores, scored = real_site(self, idx, taus), []
+        scorers.append((self.t_from, idx, scored))
+
+        def counted(values):
+            scored.extend(np.asarray(values).tolist())
+            return scores(values)
+
+        return counted
+
+    monkeypatch.setattr(StepLoss, "site", counting_site)
+    tuned, records = tune(cfg, traj, sampler, gmm8_model)
+    monkeypatch.undo()
+
+    pts = traj.points
+    untuned = baseline_tuned(traj, schedule, kind)
+    per_step = len(untuned.taus) // K
+    rescored = 0
+    for i in range(1, K + 1):
+        base = tuple(untuned.taus_for_step(i))
+        prefix = [tuple(tuned.taus_for_step(j)) for j in range(K, i, -1)]
+        loss = StepLoss(i, traj, gmm8_model, sampler, cfg.batch, cfg.seed, prefix=prefix)
+        baseline = loss(base).value
+        wide = (schedule.t_eps, pts[i + 1] if i < K else pts[K])
+        sites = [(idx, s) for t, idx, s in scorers if t == pts[i]]
+        search, *extra = [s for idx, s in sites if idx == 0]
+        # a second site-0 scorer is the re-score of the baseline, taken
+        # exactly when the search did not score the untuned time
+        assert extra == ([] if base[0] in search else [[base[0]]])
+        rescored += len(extra)
+        for idx in range(per_step):
+            slot = per_step * (i - 1) + idx
+            r = records[slot]
+            assert r.loss_baseline == baseline  # bitwise
+            assert r.loss_tuned <= r.loss_baseline
+            assert tuned.bounds[slot] == wide
+            assert r.n_evals == sum(len(s) for j, s in sites if j == idx)
+    assert rescored >= 1
 
 
 def test_tune_rerun_identity(gmm8_model, schedule):
