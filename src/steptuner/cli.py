@@ -10,6 +10,7 @@ for numeric failures.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import replace
@@ -235,7 +236,26 @@ _COMMANDS = {
 }
 
 
+def _keep_freed_heap() -> None:
+    """Keep freed arrays below 32 MiB in the heap for reuse; glibc only.
+
+    By default glibc hands a freed block above its (dynamic) mmap threshold
+    back to the kernel and trims the heap top past its trim threshold, so
+    every stacked scoring pass of the tuner faults the same pages of
+    temporaries in again. Fixed thresholds keep them. Elsewhere (no
+    libc.so.6, or no mallopt in it) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, from glibc's malloc.h
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -72,6 +72,13 @@ class NoiseSchedule:
 
     def alpha_sigma(self, t):
         """(alpha_t, sigma_t) for scalar or array t in [0, T]."""
+        if isinstance(t, float):
+            # plain-float check and log alpha: the same IEEE operations as
+            # the array path, without numpy's 0-d array overhead
+            if not 0 <= t <= self.T:
+                raise DomainError(f"t must lie in [0, {self.T}], got {t}")
+            la = self._log_alpha(t)
+            return float(np.exp(la)), float(np.sqrt(-np.expm1(2.0 * la)))
         t = self._check_t(t)
         la = self._log_alpha(t)
         alpha = np.exp(la)

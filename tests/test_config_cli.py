@@ -1,8 +1,10 @@
 """Config parsing and the command line driver, run in process."""
 
+import ctypes
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -416,6 +418,51 @@ def test_cli_rerun_byte_identical(tmp_path, capsys):
     assert cli.main(["eval", "--config", cfg, "--out", str(a), "--n", "128"]) == 0
     assert cli.main(["eval", "--config", cfg, "--out", str(b), "--n", "128"]) == 0
     assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+
+
+def test_cli_allocator_setting_leaves_outputs_alone(tmp_path, capsys, monkeypatch):
+    # main sets glibc's malloc thresholds through ctypes; without libc.so.6,
+    # or with a libc that has no mallopt, it goes on unchanged, and so do
+    # two runs in one process
+    cfg = _small_cfg(tmp_path)
+    opened, calls = [], []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def no_libc(name):
+        opened.append(name)
+        raise OSError(f"{name}: cannot open shared object file")
+
+    def libc_without_mallopt(name):
+        opened.append(name)
+        return object()
+
+    def recording_libc(name):
+        opened.append(name)
+        return SimpleNamespace(mallopt=mallopt)
+
+    def tune(run, cdll=None):
+        if cdll is not None:
+            monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        workdir = tmp_path / run
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert cli.main(["tune", "--config", cfg, "--out", "tuned.json"]) == 0
+        monkeypatch.undo()
+        return {p.name: p.read_bytes() for p in workdir.iterdir()}
+
+    first = tune("first")
+    assert sorted(first) == ["tuned.csv", "tuned.json", "tuned.json.meta.json"]
+    assert tune("second") == first
+    assert tune("no_libc", no_libc) == first
+    assert tune("no_mallopt", libc_without_mallopt) == first
+    assert opened == ["libc.so.6", "libc.so.6"]
+    assert tune("recorded", recording_libc) == first
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
     capsys.readouterr()
 
 

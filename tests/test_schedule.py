@@ -61,6 +61,29 @@ def test_alpha_strictly_decreasing(t, dt):
     assert s2 > s1
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=1e-5, max_value=1.0),
+    st.floats(min_value=0.0, max_value=50.0),
+    st.floats(min_value=1.0, max_value=1e4),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
+)
+def test_scalar_alpha_sigma_equals_array_element_bitwise(beta_min, spread, T, fractions):
+    # a plain float takes a Python-arithmetic path; it must give the array
+    # path's bits, at the endpoints and t_eps too
+    schedule = NoiseSchedule(beta_min=beta_min, beta_max=beta_min * (1.0 + spread), T=T)
+    ts = [0.0, schedule.t_eps, T] + [min(f * T, T) for f in fractions]
+    alpha, sigma = schedule.alpha_sigma(np.array(ts))
+    for j, t in enumerate(ts):
+        for scalar in (t, np.float64(t)):
+            a, s = schedule.alpha_sigma(scalar)
+            assert type(a) is float and type(s) is float
+            assert (a, s) == (alpha[j], sigma[j]), (t, a - alpha[j], s - sigma[j])
+    for bad in (-1e-300, np.nextafter(T, np.inf), np.inf, -np.inf):
+        with pytest.raises(DomainError, match=r"t must lie in \[0, "):
+            schedule.alpha_sigma(float(bad))
+
+
 def test_log_snr_strictly_decreasing(schedule):
     t = np.linspace(0.001, schedule.T, 5000)
     lam = schedule.log_snr(t)
