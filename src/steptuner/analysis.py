@@ -82,8 +82,10 @@ def _nearest(points: np.ndarray, t: float) -> int:
 
 
 def _dense_points(t_from: float, t_to: float, m: int) -> np.ndarray:
-    if m < 1:
-        raise DomainError(f"dense step count must be >= 1, got {m}")
+    if not isinstance(m, Integral) or isinstance(m, bool) or m < 1:
+        raise DomainError(f"dense step count must be an integer >= 1, got {m!r}")
+    if not t_to < t_from:
+        raise DomainError(f"dense flow requires t_to < t_from, got {t_to} >= {t_from}")
     return t_to + (t_from - t_to) * np.arange(m + 1) / m
 
 
@@ -115,34 +117,48 @@ def dense_flow(
     highest index down, so only len(record) states are ever stored. The
     oracle's time table of all m + 1 points is built once, before the first
     step.
+
+    The state lives point-major, in the (D, n) point rows of the oracle's
+    point array of x, for all m steps: each step evaluates that array at
+    its row of the table, then applies the step and the correction to
+    those rows in place. The logits, the moments and two eps buffers, the
+    current prediction and the previous one, are allocated once and
+    reused; only the kept states are transposed back to (n, D).
     """
     sched = model.schedule
     pts = _dense_points(t_from, t_to, m)
     if record is not None and (bad := np.setdiff1d(record, np.arange(m + 1))).size:
         raise DomainError(f"record: index {bad[0]} is not an integer in [0, {m}]")
     keep = np.full(m + 1, True) if record is None else np.isin(np.arange(m + 1), record)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    states = np.empty((int(keep.sum()),) + x.shape)
+    X, n = model._points(x)
+    state = X[1 : model.dim + 1]
+    D, N = state.shape
+    states = np.empty((int(keep.sum()), n, D))
     stored = 0
     if keep[m]:
-        states[0] = x
+        states[0] = state[:, :n].T
         stored = 1
     alpha, sigma = sched.alpha_sigma(pts)
     table = model.times(pts)
     second = pts >= sched.t_eps  # where log-SNR is finite
     lam = np.zeros_like(pts)
     lam[second] = sched.log_snr(pts[second])
+    g, M = np.empty((len(model.weights), N)), np.empty((D + 2, N))
+    eps, spare = np.empty((2, D, N))
     eps_prev = h_prev = None
     for j in range(m, 0, -1):
-        eps = model.epsilon(x, table[j])
-        x = _deterministic_part(x, alpha[j], sigma[j], alpha[j - 1], sigma[j - 1], eps)
+        model._evaluate(X, table, j, out=eps, g=g, M=M)
+        _deterministic_part(state, alpha[j], sigma[j], alpha[j - 1], sigma[j - 1], eps, out=state)
         if second[j - 1]:
             h = lam[j - 1] - lam[j]
             if eps_prev is not None:
-                x -= (sigma[j - 1] * (expm1(h) - h) / h_prev) * (eps - eps_prev)
+                d = np.subtract(eps, eps_prev, out=eps_prev)
+                d *= sigma[j - 1] * (expm1(h) - h) / h_prev
+                state -= d
             eps_prev, h_prev = eps, h
+            eps, spare = spare, eps
         if keep[j - 1]:
-            states[stored] = x
+            states[stored] = state[:, :n].T
             stored += 1
     return states
 

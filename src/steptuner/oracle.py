@@ -8,6 +8,11 @@ at time t is itself a mixture,
 so the score and the ideal noise prediction have closed forms. The oracle
 plays the role a trained network would play, but exactly: epsilon(x, t) is
 the true posterior mean of the noise given x_t = x.
+
+Every evaluation runs on a point-major array: an (n, D) batch becomes the
+(D + 2, n) array X = [1; x^T; -||x||^2 / 2], which is evaluated at one time
+or a table of times. A caller that evaluates one batch at many times, like
+the dense reference, keeps X and moves its point rows in place.
 """
 
 from __future__ import annotations
@@ -54,6 +59,10 @@ class OracleTimes:
     shifted logit falls below ``_EXP_FLOOR`` (negative when no point is
     safe). A G-time table holds the least of its rows' values, which
     row_safe_r2 keeps as a (G,) array.
+
+    The oracle's evaluation kernel also reads row j of a G-time table in
+    place, from C[j], sigma[j] and row_safe_r2[j], without building the row
+    object; the dense reference walks its table that way, one row per step.
     """
 
     model: GaussianMixtureOracle = field(repr=False)
@@ -159,18 +168,15 @@ class GaussianMixtureOracle:
             return OracleTimes(self, t, C, sigma, float(safe.min()), safe)
         return OracleTimes(self, t, C, sigma, safe)
 
-    def _logits(self, x: np.ndarray, t) -> tuple:
-        """(g, X, table, n, r2): the (k, n) logits as one matmul C[:, :D + 2] @ X.
+    def _points(self, x) -> tuple:
+        """(X, n): the (D + 2, n) point array of an (n, D) batch and its row count n.
 
-        t is a time, a 1-D array of times, or a table of ``times``; plain
-        times are turned into their table first, so every call runs this
-        one row path. The arrays are component-major, so reductions over
-        components run along contiguous rows. A one-row x is evaluated as
-        that row twice, because numpy's matrix-vector kernel rounds
-        differently from its matrix-matrix one; n is the caller's row count.
-        r2 is the largest squared norm of a point, from X's last row; it is
-        finite exactly when every coordinate is finite and no squared norm
-        overflows, which is the check of the input.
+        X = [1; x^T; -||x||^2 / 2] is point-major: rows 1..D hold the points,
+        one per column (see ``times``). ``_logits`` fills the last row from
+        them at every evaluation, so a caller may move the points in place
+        between evaluations. A one-row x is held as that row twice, because
+        numpy's matrix-vector kernel rounds differently from its
+        matrix-matrix one.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.ndim != 2 or x.shape[1] != self.dim:
@@ -179,17 +185,34 @@ class GaussianMixtureOracle:
         X = np.empty((D + 2, 2 if n == 1 else n))
         X[0] = 1.0
         X[1 : D + 1] = x.T
-        np.einsum("dn,dn->n", X[1 : D + 1], X[1 : D + 1], out=X[D + 1])
+        return X, n
+
+    def _table(self, t) -> OracleTimes:
+        """t as a table of ``times``; a table built by another oracle is rejected."""
+        table = t if isinstance(t, OracleTimes) else self.times(t)
+        if table.model is not self:
+            raise DomainError("t: a table built by another oracle")
+        return table
+
+    def _logits(self, X: np.ndarray, C: np.ndarray, g=None) -> tuple:
+        """(g, r2): the (..., k, n) logits C[..., :D + 2] @ X, written to g if given.
+
+        The last row of X is filled from its point rows first. The arrays
+        are component-major, so reductions over components run along
+        contiguous rows. r2 is the largest squared norm of a point; it is
+        finite exactly when every coordinate is finite and no squared norm
+        overflows, which is the check of the points.
+        """
+        D = self.dim
+        x = X[1 : D + 1]
+        np.einsum("dn,dn->n", x, x, out=X[D + 1])
         X[D + 1] *= -0.5
         r2 = -2.0 * float(X[D + 1].min(initial=0.0))
         if not r2 < np.inf:
             if np.all(np.isfinite(x)):
                 raise DomainError("oracle evaluated at a point whose squared norm overflows")
             raise DomainError("oracle evaluated at non-finite point")
-        table = t if isinstance(t, OracleTimes) else self.times(t)
-        if table.model is not self:
-            raise DomainError("t: a table built by another oracle")
-        return table.C[..., : D + 2] @ X, X, table, n, r2
+        return np.matmul(C[..., : D + 2], X, out=g), r2
 
     @staticmethod
     def _exp_shifted(g: np.ndarray, floor: bool = False) -> np.ndarray:
@@ -204,26 +227,31 @@ class GaussianMixtureOracle:
 
     def responsibilities(self, x: np.ndarray, t) -> np.ndarray:
         """(n, k) posterior component probabilities, stable in log space."""
-        g, _, _, n, _ = self._logits(x, t)
+        X, n = self._points(x)
+        g, _ = self._logits(X, self._table(t).C)
         self._exp_shifted(g)
         g /= g.sum(axis=-2)[..., None, :]
         return g[..., :n].swapaxes(-1, -2)
 
     def log_density(self, x: np.ndarray, t) -> np.ndarray:
         """log q_t(x) via log-sum-exp over components."""
-        g, _, _, n, _ = self._logits(x, t)
+        X, n = self._points(x)
+        g, _ = self._logits(X, self._table(t).C)
         out = (self._exp_shifted(g) + np.log(g.sum(axis=-2)))[..., :n]
         if np.asarray(x).ndim == 1:
             out = out[..., 0]
         return float(out) if out.ndim == 0 else out
 
-    def _score(self, x: np.ndarray, t, times_sigma: bool) -> np.ndarray:
-        """The (n, D) score, or -sigma times it, from the moments M = B^T @ exp(g - max g).
+    def _evaluate(self, X, table, j=None, times_sigma=True, out=None, g=None, M=None):
+        """-sigma times the score (the score without times_sigma) at the points X, as (..., D, n).
 
-        M stacks sum_k g_k alpha mu_k / v_k, sum_k g_k / v_k and sum_k g_k, so
-        the score sum_k r_k (alpha mu_k - x) / v_k for responsibilities
-        r = g / sum_k g_k is (M[:D] - x^T M[D]) / M[D + 1]: the (k, n) array
-        is never divided, only the (n, D) result, once.
+        The one evaluation path of ``epsilon`` and ``score``: X is a point
+        array of ``_points``, evaluated at row j of table, or at all of it
+        when j is None. M = B^T @ exp(g - max g) stacks sum_k g_k alpha mu_k
+        / v_k, sum_k g_k / v_k and sum_k g_k, so the score sum_k r_k (alpha
+        mu_k - x) / v_k for responsibilities r = g / sum_k g_k is (M[:D] - x^T
+        M[D]) / M[D + 1]: the (k, n) array is never divided, only the (D, n)
+        result, once.
 
         The shifted logits are floored at ``_EXP_FLOOR`` when the table's
         bound says a point could fall below it. A floored component's weight
@@ -231,20 +259,34 @@ class GaussianMixtureOracle:
         that another component contributes to, and whether the floor is
         taken never changes a row: a row with a logit below the floor takes
         it in every batch.
+
+        A caller that evaluates one batch at many times passes its own
+        (k, n) logits g, (D + 2, n) moments M and (D, n) result out, which
+        are overwritten; without out the result is written through the
+        transposed view of a new C-contiguous (..., n, D) array, since
+        returning a transposed view itself slows every elementwise consumer.
         """
-        g, X, table, n, r2 = self._logits(x, t)
+        if j is None:
+            C, sigma, safe_r2 = table.C, table.sigma, table.safe_r2
+        else:
+            C, sigma, safe_r2 = table.C[j], table.sigma[j, 0], table.row_safe_r2[j]
         D = self.dim
-        self._exp_shifted(g, floor=r2 > table.safe_r2)
-        M = table.C[..., 1:].swapaxes(-1, -2) @ g
+        g, r2 = self._logits(X, C, g)
+        self._exp_shifted(g, floor=r2 > safe_r2)
+        M = np.matmul(C[..., 1:].swapaxes(-1, -2), g, out=M)
         del g  # free the (k, n) array before the (D, n) temporaries
         s = M[..., :D, :]
         s -= X[1 : D + 1] * M[..., D : D + 1, :]
-        scale = (-table.sigma if times_sigma else 1.0) / M[..., D + 1, :]
-        # written through a transposed view into a C-contiguous (n, D) array:
-        # returning the transposed view itself slows every elementwise consumer
-        out = np.empty(s.shape[:-2] + (s.shape[-1], D))
-        np.multiply(s, scale[..., None, :], out=out.swapaxes(-1, -2))
-        return out[..., :n, :]
+        scale = (-sigma if times_sigma else 1.0) / M[..., D + 1, :]
+        if out is None:
+            out = np.empty(s.shape[:-2] + (s.shape[-1], D)).swapaxes(-1, -2)
+        return np.multiply(s, scale[..., None, :], out=out)
+
+    def _score(self, x: np.ndarray, t, times_sigma: bool) -> np.ndarray:
+        """The (n, D) score, or -sigma times it, of an (n, D) batch at t."""
+        X, n = self._points(x)
+        out = self._evaluate(X, self._table(t), times_sigma=times_sigma)
+        return out.swapaxes(-1, -2)[..., :n, :]
 
     @staticmethod
     def _like(x, out: np.ndarray) -> np.ndarray:

@@ -115,10 +115,13 @@ def _predict(model: GaussianMixtureOracle, x: np.ndarray, tau) -> np.ndarray:
     return model.epsilon(x.reshape(-1, x.shape[-1]), tau).reshape(x.shape)
 
 
-def _deterministic_part(x, a_from, s_from, a_to, s_to_eff, eps_hat):
+def _deterministic_part(x, a_from, s_from, a_to, s_to_eff, eps_hat, out=None):
     # Single shared expression so every caller produces bit-identical
-    # arithmetic; do not reassociate.
-    return (a_to / a_from) * x - (a_to * s_from / a_from - s_to_eff) * eps_hat
+    # arithmetic; do not reassociate. The result goes to out, which may be
+    # x itself, or else to the eps term's new array, which has its shape.
+    shift = (a_to * s_from / a_from - s_to_eff) * eps_hat
+    scaled = np.multiply(a_to / a_from, x, out=out)
+    return np.subtract(scaled, shift, out=shift if out is None else out)
 
 
 def _eta_noise_scale(eta: float, a_from, s_from, a_to, s_to) -> float:

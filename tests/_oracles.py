@@ -5,7 +5,7 @@ quadratic-formula inversions, explicit per-row RNG reconstruction) so
 that test expectations never come from the code under test.
 """
 
-from math import sqrt
+from math import expm1, sqrt
 
 import numpy as np
 from scipy import integrate
@@ -86,6 +86,42 @@ def dense_multistep_product(schedule, K: int, t_min: float = 0.0) -> float:
             eps_prev, h_prev = eps, h
         m = m_next
     return m
+
+
+def dense_flow_per_step(x, model, t_from: float, t_to: float, m: int, record=None):
+    """The dense reference rollout with one ``model.epsilon`` call per step.
+
+    The same two-step log-SNR integrator as ``analysis.dense_flow``, written
+    as a plain loop over (n, D) states: the oracle's table of the m + 1
+    uniform points is built once and each step passes its row, the baseline
+    step is followed by the correction
+    -sigma_to * (expm1(h) - h) * (eps - eps_prev) / h_prev where both ends
+    have a finite log-SNR, and the states at the indices in record (all when
+    None) are kept, from the highest index down.
+    """
+    sched = model.schedule
+    pts = t_to + (t_from - t_to) * np.arange(m + 1) / m
+    keep = np.full(m + 1, True) if record is None else np.isin(np.arange(m + 1), record)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    states = [x] if keep[m] else []
+    alpha, sigma = sched.alpha_sigma(pts)
+    table = model.times(pts)
+    second = pts >= sched.t_eps
+    lam = np.zeros_like(pts)
+    lam[second] = sched.log_snr(pts[second])
+    eps_prev = h_prev = None
+    for j in range(m, 0, -1):
+        eps = model.epsilon(x, table[j])
+        a_f, s_f, a_t, s_t = alpha[j], sigma[j], alpha[j - 1], sigma[j - 1]
+        x = (a_t / a_f) * x - (a_t * s_f / a_f - s_t) * eps
+        if second[j - 1]:
+            h = lam[j - 1] - lam[j]
+            if eps_prev is not None:
+                x -= (s_t * (expm1(h) - h) / h_prev) * (eps - eps_prev)
+            eps_prev, h_prev = eps, h
+        if keep[j - 1]:
+            states.append(x)
+    return np.array(states).reshape((len(states),) + x.shape)
 
 
 def reconstruct_tune_batch(model, batch: int, seed: int, step: int):

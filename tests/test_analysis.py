@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     dense_coefficient_product,
+    dense_flow_per_step,
     dense_multistep_product,
     error_bound_rows,
     sliced_wasserstein_rows,
@@ -103,8 +104,46 @@ def test_reference_path_repeatable(gmm8_model):
     a = reference_path(x, gmm8_model, dense_K=200)
     b = reference_path(x, gmm8_model, dense_K=200)
     assert np.array_equal(a.states, b.states)
-    with pytest.raises(DomainError):
-        reference_path(x, gmm8_model, dense_K=0)
+    for m in (0, 2.5, True):
+        with pytest.raises(DomainError, match="dense step count must be an integer >= 1"):
+            reference_path(x, gmm8_model, dense_K=m)
+        with pytest.raises(DomainError, match="dense step count must be an integer >= 1"):
+            dense_flow(x, gmm8_model, 1000.0, 0.0, m)
+    assert np.array_equal(reference_path(x, gmm8_model, dense_K=np.int64(200)).states, a.states)
+
+
+def test_dense_flow_rejects_an_interval_that_does_not_run_down(gmm8_model, schedule):
+    x = draw_start_states(gmm8_model, 4, 0)
+    for t_from, t_to in ((5.0, 5.0), (5.0, 50.0)):
+        with pytest.raises(DomainError, match=rf"t_to < t_from, got {t_to} >= {t_from}"):
+            dense_flow(x, gmm8_model, t_from, t_to, 10)
+    T = schedule.T
+    with pytest.raises(DomainError, match=rf"t_to < t_from, got {T} >= {T}"):
+        reference_path(x, gmm8_model, dense_K=10, t_min=T)
+
+
+@pytest.mark.parametrize("preset", ["gmm8", "standard"])
+@pytest.mark.parametrize("t_from, t_to, m", [(1e3, 0.0, 40), (1e3, 1.0, 40), (3.0, 0.0, 12)])
+def test_dense_flow_equals_per_step_epsilon_loop(schedule, preset, t_from, t_to, m):
+    # the point-major rollout on reused buffers is the loop of one epsilon
+    # call per step, bit for bit; t_to = 0 crosses t_eps, and the short
+    # interval ends with several first-order steps
+    model = make_oracle(preset, schedule)
+    for n in (1, 2, 257):
+        x = draw_start_states(model, n, n)
+        for record in (None, [0, 3, 7, m], []):
+            got = dense_flow(x, model, t_from, t_to, m, record)
+            want = dense_flow_per_step(x, model, t_from, t_to, m, record)
+            assert got.shape == want.shape and np.array_equal(got, want), (n, record)
+
+
+def test_dense_flow_rejects_start_states_as_epsilon_does(gmm8_model):
+    for x in (np.zeros((3, 3)), np.array([[0.0, np.nan]]), np.array([[1e200, 0.0]])):
+        with pytest.raises(DomainError) as want:
+            gmm8_model.epsilon(x, 1000.0)
+        with pytest.raises(DomainError) as got:
+            dense_flow(x, gmm8_model, 1000.0, 0.0, 10)
+        assert str(got.value) == str(want.value)
 
 
 def test_dense_flow_rejects_record_indices_outside_its_points(gmm8_model):
