@@ -3,10 +3,11 @@
 The central object of study is the gap between a few-step sampler's states
 and the exact reverse flow. The exact flow is approximated by a dense
 untuned rollout (1000 uniform steps by default) from the same starting
-noise with a second-order multistep integrator in log-SNR, so every
-coarse checkpoint can be compared pathwise against its ground-truth
-counterpart. Distribution-level quality uses moment-matched
-Frechet distance and sliced Wasserstein distance at the final state.
+noise with a second-order multistep integrator in log-SNR. The coarse
+checkpoints are points of that rollout, so every one can be compared
+pathwise against its ground-truth counterpart at the same time.
+Distribution-level quality uses moment-matched Frechet distance and sliced
+Wasserstein distance at the final state.
 """
 
 from __future__ import annotations
@@ -76,47 +77,63 @@ def generate_paths(
     return sample_path(x_T, tuned, sampler, model)
 
 
-def _nearest(points: np.ndarray, t: float) -> int:
-    """Index of the point nearest t; the first one on a tie."""
-    return int(np.argmin(np.abs(points - t)))
-
-
-def _dense_points(t_from: float, t_to: float, m: int) -> np.ndarray:
+def _dense_points(T: float, t_min: float, m: int) -> np.ndarray:
+    """The m + 1 uniform points T - (T - t_min) j / m, from T down to t_min."""
     if not isinstance(m, Integral) or isinstance(m, bool) or m < 1:
         raise DomainError(f"dense step count must be an integer >= 1, got {m!r}")
-    if not t_to < t_from:
-        raise DomainError(f"dense flow requires t_to < t_from, got {t_to} >= {t_from}")
-    return t_to + (t_from - t_to) * np.arange(m + 1) / m
+    if not t_min < T:
+        raise DomainError(f"dense reference requires t_min < T, got {t_min} >= {T}")
+    return t_min + (T - t_min) * np.arange(m, -1, -1) / m
+
+
+def _merged_points(T: float, t_min: float, m: int, checkpoints) -> tuple:
+    """(points, record): ``_dense_points`` with every checkpoint among them.
+
+    A checkpoint within 1e-9 T of a dense point (the tolerance of a tuned
+    file's trajectory) is snapped onto it; any other one becomes a point of
+    its own. record holds the indices of the checkpoints' points. The
+    checkpoints must increase strictly and lie in [t_min, T], or DomainError
+    is raised.
+    """
+    pts = _dense_points(T, t_min, m)
+    c = np.asarray(checkpoints, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise DomainError(f"checkpoints: need a non-empty 1-D array of times, got shape {c.shape}")
+    on = np.abs(c[:, None] - pts) <= 1e-9 * T
+    c = np.where(on.any(axis=1), pts[on.argmax(axis=1)], c)
+    if not (np.all(np.diff(c) > 0) and t_min <= c[0] and c[-1] <= T):
+        raise DomainError(f"checkpoints: must increase strictly within [{t_min}, {T}], got {c}")
+    pts = np.union1d(pts, c)[::-1]
+    return pts, np.flatnonzero(np.isin(pts, c))
 
 
 def dense_flow(
     x: np.ndarray,
     model: GaussianMixtureOracle,
-    t_from: float,
-    t_to: float,
-    m: int,
+    points: np.ndarray,
     record: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Dense untuned deterministic rollout from t_from down to t_to.
+    """Dense untuned deterministic rollout over the given points, from points[0] down.
 
     A second-order multistep exponential integrator in log-SNR (the
     two-step DPM-Solver of Lu et al. 2022) with one model evaluation per
-    step, over the m + 1 uniform points p_j = t_to + (t_from - t_to) j / m.
-    Each step is the baseline solver update from p_j to p_{j-1} plus the
-    correction
+    step. points is a strictly decreasing 1-D array p_0 > p_1 > ... > p_m
+    of at least two times, and x is the state at p_0; anything else raises
+    DomainError. Step j goes from p_{j-1} to p_j: the baseline solver
+    update plus the correction
 
         - sigma_to * (expm1(h) - h) * (eps - eps_prev) / h_prev,
 
-    where eps is the prediction at p_j, eps_prev the one of the previous
-    step, h = log_snr(p_{j-1}) - log_snr(p_j) and h_prev the previous
-    step's h. The first step has no history, and a step ending below t_eps
-    has no finite log-SNR; both stay first order.
+    where eps is the prediction at p_{j-1}, eps_prev the one of the previous
+    step, h = log_snr(p_j) - log_snr(p_{j-1}) and h_prev the previous step's
+    h, so unequal steps are taken as they come. The first step has no
+    history, and a step ending below t_eps has no finite log-SNR; both stay
+    first order.
 
     record lists the indices j in [0, m] of the points whose states are
-    kept (None keeps all); the states come back in walking order, from the
-    highest index down, so only len(record) states are ever stored. The
-    oracle's time table of all m + 1 points is built once, before the first
-    step.
+    kept (None keeps all); the states come back in walking order, so only
+    len(record) states are ever stored. The oracle's time table of all
+    m + 1 points is built once, before the first step.
 
     The state lives point-major, in the (D, n) point rows of the oracle's
     point array of x, for all m steps: each step evaluates that array at
@@ -126,18 +143,19 @@ def dense_flow(
     reused; only the kept states are transposed back to (n, D).
     """
     sched = model.schedule
-    pts = _dense_points(t_from, t_to, m)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1 or len(pts) < 2 or not np.all(np.diff(pts) < 0):
+        raise DomainError("dense flow needs a strictly decreasing 1-D array of at least two points")
+    m = len(pts) - 1
     if record is not None and (bad := np.setdiff1d(record, np.arange(m + 1))).size:
         raise DomainError(f"record: index {bad[0]} is not an integer in [0, {m}]")
     keep = np.full(m + 1, True) if record is None else np.isin(np.arange(m + 1), record)
     X, n = model._points(x)
     state = X[1 : model.dim + 1]
     D, N = state.shape
-    states = np.empty((int(keep.sum()), n, D))
-    stored = 0
-    if keep[m]:
+    states, slot = np.empty((int(keep.sum()), n, D)), np.cumsum(keep) - 1
+    if keep[0]:
         states[0] = state[:, :n].T
-        stored = 1
     alpha, sigma = sched.alpha_sigma(pts)
     table = model.times(pts)
     second = pts >= sched.t_eps  # where log-SNR is finite
@@ -146,20 +164,19 @@ def dense_flow(
     g, M = np.empty((len(model.weights), N)), np.empty((D + 2, N))
     eps, spare = np.empty((2, D, N))
     eps_prev = h_prev = None
-    for j in range(m, 0, -1):
-        model._evaluate(X, table, j, out=eps, g=g, M=M)
-        _deterministic_part(state, alpha[j], sigma[j], alpha[j - 1], sigma[j - 1], eps, out=state)
-        if second[j - 1]:
-            h = lam[j - 1] - lam[j]
+    for j in range(1, m + 1):
+        model._evaluate(X, table, j - 1, out=eps, g=g, M=M)
+        _deterministic_part(state, alpha[j - 1], sigma[j - 1], alpha[j], sigma[j], eps, out=state)
+        if second[j]:
+            h = lam[j] - lam[j - 1]
             if eps_prev is not None:
                 d = np.subtract(eps, eps_prev, out=eps_prev)
-                d *= sigma[j - 1] * (expm1(h) - h) / h_prev
+                d *= sigma[j] * (expm1(h) - h) / h_prev
                 state -= d
             eps_prev, h_prev = eps, h
             eps, spare = spare, eps
-        if keep[j - 1]:
-            states[stored] = state[:, :n].T
-            stored += 1
+        if keep[j]:
+            states[slot[j]] = state[:, :n].T
     return states
 
 
@@ -172,19 +189,20 @@ def reference_path(
 ) -> SamplePath:
     """The dense reference: ``dense_flow`` from T down to t_min.
 
-    By default the path holds all dense_K + 1 states. Given checkpoint
-    times, it holds only the states at the dense points nearest them, and
-    its trajectory points are those dense points; ``gap_profile`` reads
-    either path the same way.
+    By default the path holds all dense_K + 1 states of the uniform grid.
+    Given checkpoint times, strictly increasing in [t_min, T], the grid
+    gains each checkpoint as a point (``_merged_points``), and the path
+    holds the states at the checkpoints only, with the checkpoints as given
+    as its trajectory points; ``gap_profile`` pairs them with a coarse
+    path's by index.
     """
     T = model.schedule.T
-    pts = _dense_points(T, t_min, dense_K)
-    record = None
-    if checkpoints is not None:
-        record = np.unique([_nearest(pts, t) for t in checkpoints])
-        pts = pts[record]
-    states = dense_flow(x_T, model, T, t_min, dense_K, record)
-    return SamplePath(states=states, trajectory_points=pts)
+    if checkpoints is None:
+        pts = _dense_points(T, t_min, dense_K)
+        return SamplePath(states=dense_flow(x_T, model, pts), trajectory_points=pts[::-1])
+    pts, record = _merged_points(T, t_min, dense_K, checkpoints)
+    states = dense_flow(x_T, model, pts, record)
+    return SamplePath(states=states, trajectory_points=np.asarray(checkpoints, dtype=float))
 
 
 def _norms(d: np.ndarray) -> np.ndarray:
@@ -195,18 +213,20 @@ def _norms(d: np.ndarray) -> np.ndarray:
 def gap_profile(coarse: SamplePath, reference: SamplePath) -> GapReport:
     """Mean L2 distance to the reference at every coarse checkpoint.
 
-    Reference states at off-grid times come from the nearest reference
-    point; keep the dense spacing at or below one t-unit.
+    The two paths must share their start states and their checkpoints, as
+    ``reference_path`` given the coarse checkpoints does; row i compares
+    their states at checkpoint i.
     """
     if coarse.states.shape[1:] != reference.states.shape[1:]:
         raise ContractError("coarse and reference paths disagree on batch shape")
+    if not np.array_equal(coarse.trajectory_points, reference.trajectory_points):
+        raise ContractError("coarse and reference paths must share their checkpoints")
     if not np.array_equal(coarse.states[0], reference.states[0]):
         raise ContractError("coarse and reference paths must share x_T")
     n_paths = coarse.states.shape[1]
     rows = []
     for i, t in enumerate(coarse.trajectory_points):
-        gt = reference.state_at(_nearest(reference.trajectory_points, t))
-        mean_gap, stderr = _mean_stderr(_norms(coarse.state_at(i) - gt))
+        mean_gap, stderr = _mean_stderr(_norms(coarse.state_at(i) - reference.state_at(i)))
         rows.append((i, float(t), mean_gap, stderr, n_paths))
     return GapReport(rows=rows)
 
@@ -428,7 +448,6 @@ def error_bound_report(
     coarse = generate_paths(x_T, tuned, sampler, model)
     reference = reference_path(x_T, model, dense_K, t_min=float(pts[0]), checkpoints=pts)
     gaps = gap_profile(coarse, reference).rows
-    gt = [reference.state_at(_nearest(reference.trajectory_points, t)) for t in pts]
 
     # per step l = 1..K: the consistency loss of the step the coarse rollout
     # took (with the tuned times it used), square-rooted, and the reference
@@ -439,7 +458,8 @@ def error_bound_report(
         y = coarse.state_at(l - 1)
         [(loss, _)] = _consistency(model, y, _prediction_time(model, pts[l - 1]), target)
         root_losses.append(sqrt(loss))
-        d = model.epsilon(gt[l], pts[l]) - model.epsilon(gt[l - 1], pts[l - 1])
+        d = model.epsilon(reference.state_at(l), pts[l])
+        d -= model.epsilon(reference.state_at(l - 1), pts[l - 1])
         continuity.append(float(np.mean(_norms(d))))
 
     unit = np.allclose(model.means, 0) and np.allclose(model.scales, 1)

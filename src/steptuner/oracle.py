@@ -51,9 +51,8 @@ class OracleTimes:
 
     t is one time or a 1-D array of G times, C the (k, D + 3) coefficient
     array (G, k, D + 3 for G times) and sigma the noise scale (a float, or
-    (G, 1)). ``table[j]`` is the one-time table of time j. Pass a table or
-    a row as the t of ``epsilon``, ``score``, ``responsibilities`` or
-    ``log_density`` of the oracle that built it.
+    (G, 1)). Pass a table as the t of ``epsilon``, ``score``,
+    ``responsibilities`` or ``log_density`` of the oracle that built it.
 
     safe_r2 bounds the exp floor: at points with ||x||^2 <= safe_r2 no
     shifted logit falls below ``_EXP_FLOOR`` (negative when no point is
@@ -61,8 +60,9 @@ class OracleTimes:
     row_safe_r2 keeps as a (G,) array.
 
     The oracle's evaluation kernel also reads row j of a G-time table in
-    place, from C[j], sigma[j] and row_safe_r2[j], without building the row
-    object; the dense reference walks its table that way, one row per step.
+    place, from C[j], sigma[j, 0] and row_safe_r2[j], which equal those of
+    the table of time j alone; the dense reference walks its table that
+    way, one row per step.
     """
 
     model: GaussianMixtureOracle = field(repr=False)
@@ -71,14 +71,6 @@ class OracleTimes:
     sigma: object
     safe_r2: float
     row_safe_r2: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def __getitem__(self, j: int) -> OracleTimes:
-        if np.ndim(self.t) == 0:
-            raise DomainError("a table of one time has no rows")
-        return OracleTimes(
-            self.model, float(self.t[j]), self.C[j], float(self.sigma[j, 0]),
-            float(self.row_safe_r2[j]),
-        )
 
 
 @dataclass(frozen=True)
@@ -132,7 +124,7 @@ class GaussianMixtureOracle:
         (k, D + 3) array C, which depends on the time alone. For G times, C
         gains a leading axis of G and sigma is (G, 1); row j of the table
         equals the table of time j bitwise. A caller that knows its times in
-        advance builds the table once and passes it, or its rows, as t.
+        advance builds the table once and passes it as t.
 
         The exp floor's bound: a shifted logit g_k - max_j g_j at a point of
         norm R is at least -(log(w_max / w_min) + (D/2) log(v_max / v_min) +
@@ -302,9 +294,9 @@ class GaussianMixtureOracle:
 
         x is one (n, D) batch of points. t is one time, giving (n, D), or a
         1-D array of G times, giving the (G, n, D) predictions at each; a
-        slice equals the call at its one time bitwise. A table of ``times``,
-        or one of its rows, gives what its times give, bitwise. Each row
-        equals the call on that row alone bitwise.
+        slice equals the call at its one time bitwise. A table of ``times``
+        gives what its times give, bitwise. Each row equals the call on that
+        row alone bitwise.
         """
         return self._like(x, self._score(x, t, times_sigma=True))
 

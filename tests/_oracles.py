@@ -88,38 +88,38 @@ def dense_multistep_product(schedule, K: int, t_min: float = 0.0) -> float:
     return m
 
 
-def dense_flow_per_step(x, model, t_from: float, t_to: float, m: int, record=None):
+def dense_flow_per_step(x, model, points, record=None):
     """The dense reference rollout with one ``model.epsilon`` call per step.
 
     The same two-step log-SNR integrator as ``analysis.dense_flow``, written
-    as a plain loop over (n, D) states: the oracle's table of the m + 1
-    uniform points is built once and each step passes its row, the baseline
-    step is followed by the correction
+    as a plain loop over (n, D) states on the decreasing points p_0 > ... >
+    p_m: step k evaluates ``model.epsilon`` at p_{k-1}, the baseline step is
+    followed by the correction
     -sigma_to * (expm1(h) - h) * (eps - eps_prev) / h_prev where both ends
     have a finite log-SNR, and the states at the indices in record (all when
-    None) are kept, from the highest index down.
+    None) are kept, in walking order.
     """
     sched = model.schedule
-    pts = t_to + (t_from - t_to) * np.arange(m + 1) / m
+    pts = np.asarray(points, dtype=float)
+    m = len(pts) - 1
     keep = np.full(m + 1, True) if record is None else np.isin(np.arange(m + 1), record)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    states = [x] if keep[m] else []
+    states = [x] if keep[0] else []
     alpha, sigma = sched.alpha_sigma(pts)
-    table = model.times(pts)
     second = pts >= sched.t_eps
     lam = np.zeros_like(pts)
     lam[second] = sched.log_snr(pts[second])
     eps_prev = h_prev = None
-    for j in range(m, 0, -1):
-        eps = model.epsilon(x, table[j])
-        a_f, s_f, a_t, s_t = alpha[j], sigma[j], alpha[j - 1], sigma[j - 1]
+    for k in range(1, m + 1):
+        eps = model.epsilon(x, pts[k - 1])
+        a_f, s_f, a_t, s_t = alpha[k - 1], sigma[k - 1], alpha[k], sigma[k]
         x = (a_t / a_f) * x - (a_t * s_f / a_f - s_t) * eps
-        if second[j - 1]:
-            h = lam[j - 1] - lam[j]
+        if second[k]:
+            h = lam[k] - lam[k - 1]
             if eps_prev is not None:
                 x -= (s_t * (expm1(h) - h) / h_prev) * (eps - eps_prev)
             eps_prev, h_prev = eps, h
-        if keep[j - 1]:
+        if keep[k]:
             states.append(x)
     return np.array(states).reshape((len(states),) + x.shape)
 
@@ -197,8 +197,7 @@ def error_bound_rows(coarse, reference, traj, model) -> list:
     coarse is the few-step rollout and reference the dense one, both from
     the same x_T. Row i (steps 1..K) holds:
       lhs, lhs_stderr - mean and standard error over paths of the distance
-        from the coarse state at t_{i-1} to the reference state whose time
-        is nearest t_{i-1};
+        from the coarse state at t_{i-1} to the reference state at t_{i-1};
       loss_sum - over steps n = i..K, the square root of the mean of
         ||eps(x_{n-1}, max(t_{n-1}, t_eps)) - eps(x_n, t_n)||^2 along the
         coarse rollout;
@@ -217,7 +216,7 @@ def error_bound_rows(coarse, reference, traj, model) -> list:
         return coarse.states[K - i]
 
     def ref_at(t):
-        j = int(np.argmin(np.abs(reference.trajectory_points - t)))
+        [j] = np.flatnonzero(reference.trajectory_points == t)
         return reference.states[len(reference.trajectory_points) - 1 - j]
 
     root_losses, continuity = {}, {}

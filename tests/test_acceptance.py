@@ -64,17 +64,22 @@ def tuned_par(gmm8_model, traj10):
 
 @pytest.fixture(scope="module")
 def gap_bundle(gmm8_model, schedule, traj10, tuned_seq):
-    """Baseline/tuned K=10 and baseline K=20 gap reports on shared paths."""
+    """Baseline/tuned K=10 and baseline K=20 gap reports on shared paths.
+
+    Each trajectory has one dense reference, whose grid holds its
+    checkpoints.
+    """
     x_T = draw_start_states(gmm8_model, 4096, 0)
-    ref = reference_path(x_T, gmm8_model, dense_K=1000)
     det = SamplerConfig()
     base10 = baseline_tuned(traj10, schedule, "ddim-family")
     traj20 = make_trajectory("quadratic", 20, schedule)
     base20 = baseline_tuned(traj20, schedule, "ddim-family")
+    ref10 = reference_path(x_T, gmm8_model, dense_K=1000, checkpoints=traj10.points)
+    ref20 = reference_path(x_T, gmm8_model, dense_K=1000, checkpoints=traj20.points)
     return {
-        "base10": gap_profile(generate_paths(x_T, base10, det, gmm8_model), ref),
-        "tuned10": gap_profile(generate_paths(x_T, tuned_seq, det, gmm8_model), ref),
-        "base20": gap_profile(generate_paths(x_T, base20, det, gmm8_model), ref),
+        "base10": gap_profile(generate_paths(x_T, base10, det, gmm8_model), ref10),
+        "tuned10": gap_profile(generate_paths(x_T, tuned_seq, det, gmm8_model), ref10),
+        "base20": gap_profile(generate_paths(x_T, base20, det, gmm8_model), ref20),
     }
 
 

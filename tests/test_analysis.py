@@ -30,7 +30,9 @@ from steptuner import (
     tune,
 )
 from steptuner.analysis import (
+    _dense_points,
     _evaluate_many,
+    _merged_points,
     dense_flow,
     draw_start_states,
     error_bound_report,
@@ -107,18 +109,17 @@ def test_reference_path_repeatable(gmm8_model):
     for m in (0, 2.5, True):
         with pytest.raises(DomainError, match="dense step count must be an integer >= 1"):
             reference_path(x, gmm8_model, dense_K=m)
-        with pytest.raises(DomainError, match="dense step count must be an integer >= 1"):
-            dense_flow(x, gmm8_model, 1000.0, 0.0, m)
     assert np.array_equal(reference_path(x, gmm8_model, dense_K=np.int64(200)).states, a.states)
 
 
 def test_dense_flow_rejects_an_interval_that_does_not_run_down(gmm8_model, schedule):
     x = draw_start_states(gmm8_model, 4, 0)
-    for t_from, t_to in ((5.0, 5.0), (5.0, 50.0)):
-        with pytest.raises(DomainError, match=rf"t_to < t_from, got {t_to} >= {t_from}"):
-            dense_flow(x, gmm8_model, t_from, t_to, 10)
+    bad = ([5.0, 5.0], [5.0, 50.0], [9.0, 5.0, 6.0], [9.0, np.nan], [5.0], [], [[9.0, 5.0]])
+    for points in bad:
+        with pytest.raises(DomainError, match="strictly decreasing 1-D array of at least two"):
+            dense_flow(x, gmm8_model, points)
     T = schedule.T
-    with pytest.raises(DomainError, match=rf"t_to < t_from, got {T} >= {T}"):
+    with pytest.raises(DomainError, match=rf"t_min < T, got {T} >= {T}"):
         reference_path(x, gmm8_model, dense_K=10, t_min=T)
 
 
@@ -129,12 +130,25 @@ def test_dense_flow_equals_per_step_epsilon_loop(schedule, preset, t_from, t_to,
     # call per step, bit for bit; t_to = 0 crosses t_eps, and the short
     # interval ends with several first-order steps
     model = make_oracle(preset, schedule)
+    points = t_to + (t_from - t_to) * np.arange(m, -1, -1) / m
     for n in (1, 2, 257):
         x = draw_start_states(model, n, n)
         for record in (None, [0, 3, 7, m], []):
-            got = dense_flow(x, model, t_from, t_to, m, record)
-            want = dense_flow_per_step(x, model, t_from, t_to, m, record)
+            got = dense_flow(x, model, points, record)
+            want = dense_flow_per_step(x, model, points, record)
             assert got.shape == want.shape and np.array_equal(got, want), (n, record)
+
+
+@pytest.mark.parametrize("kind, K", [("quadratic", 20), ("log-snr", 10)])
+def test_dense_flow_on_a_merged_grid_equals_per_step_epsilon_loop(gmm8_model, schedule, kind, K):
+    # checkpoints off the uniform grid make unequal steps, which the
+    # multistep correction takes through h_prev
+    traj = make_trajectory(kind, K, schedule)
+    points, record = _merged_points(schedule.T, 0.0, 1000, traj.points)
+    assert len(points) > 1001
+    x = draw_start_states(gmm8_model, 33, 5)
+    got = dense_flow(x, gmm8_model, points, record)
+    assert np.array_equal(got, dense_flow_per_step(x, gmm8_model, points, record))
 
 
 def test_dense_flow_rejects_start_states_as_epsilon_does(gmm8_model):
@@ -142,17 +156,18 @@ def test_dense_flow_rejects_start_states_as_epsilon_does(gmm8_model):
         with pytest.raises(DomainError) as want:
             gmm8_model.epsilon(x, 1000.0)
         with pytest.raises(DomainError) as got:
-            dense_flow(x, gmm8_model, 1000.0, 0.0, 10)
+            dense_flow(x, gmm8_model, _dense_points(1000.0, 0.0, 10))
         assert str(got.value) == str(want.value)
 
 
 def test_dense_flow_rejects_record_indices_outside_its_points(gmm8_model):
     x = draw_start_states(gmm8_model, 4, 0)
+    points = _dense_points(1000.0, 0.0, 10)
     for record, bad in (([12, 99], "12"), ([3, -1], "-1"), ([2.5], "2.5")):
         with pytest.raises(DomainError, match=rf"record: index {bad} is not an integer in \[0, 10\]"):
-            dense_flow(x, gmm8_model, 1000.0, 0.0, 10, record)
-    kept = dense_flow(x, gmm8_model, 1000.0, 0.0, 10, [10, 0])
-    assert np.array_equal(kept, dense_flow(x, gmm8_model, 1000.0, 0.0, 10)[[0, 10]])
+            dense_flow(x, gmm8_model, points, record)
+    kept = dense_flow(x, gmm8_model, points, [10, 0])
+    assert np.array_equal(kept, dense_flow(x, gmm8_model, points)[[0, 10]])
 
 
 def test_dense_flow_schedule_calls_do_not_grow_with_steps(gmm8_model, monkeypatch):
@@ -170,25 +185,72 @@ def test_dense_flow_schedule_calls_do_not_grow_with_steps(gmm8_model, monkeypatc
     counts = []
     for m in (10, 200):
         calls.clear()
-        dense_flow(x, gmm8_model, 1000.0, 0.0, m, record=[0])
+        dense_flow(x, gmm8_model, _dense_points(1000.0, 0.0, m), record=[m])
         counts.append(len(calls))
     assert counts[0] == counts[1], counts
 
 
 @pytest.mark.parametrize("kind", ["uniform", "quadratic", "log-snr"])
 def test_reference_checkpoints_equal_full_reference(gmm8_model, schedule, kind):
+    # the checkpointed reference keeps, of the full rollout over the merged
+    # grid, the states at the checkpoints, which are its trajectory points
     traj = make_trajectory(kind, 10, schedule)
     x_T = draw_start_states(gmm8_model, 64, 3)
     t_min = float(traj.points[0])
+    ckpt = reference_path(x_T, gmm8_model, dense_K=1000, t_min=t_min, checkpoints=traj.points)
+    points, record = _merged_points(schedule.T, t_min, 1000, traj.points)
+    full = dense_flow(x_T, gmm8_model, points)
+    assert np.array_equal(ckpt.trajectory_points, traj.points)
+    # on-grid checkpoints are snapped: 10.000000000000002 reads the state at 10.0
+    assert np.allclose(points[record], traj.points[::-1], rtol=0, atol=1e-9 * schedule.T)
+    assert np.array_equal(ckpt.states, full[record])
+
+
+@pytest.mark.parametrize("t_min", [0.0, 1.0])
+def test_on_grid_checkpoints_add_no_dense_point(gmm8_model, schedule, t_min):
+    # K = 10 quadratic lies on the 1000-step grid at both shipped t_min, up
+    # to the rounding of its points (t_1 = 10.000000000000002 against 10.0)
+    traj = make_trajectory("quadratic", 10, schedule, t_min=t_min)
+    points, record = _merged_points(schedule.T, t_min, 1000, traj.points)
+    assert np.array_equal(points, _dense_points(schedule.T, t_min, 1000))
+    x_T = draw_start_states(gmm8_model, 64, 3)
     full = reference_path(x_T, gmm8_model, dense_K=1000, t_min=t_min)
     ckpt = reference_path(x_T, gmm8_model, dense_K=1000, t_min=t_min, checkpoints=traj.points)
-    dense = full.trajectory_points
-    nearest = sorted({int(np.argmin(np.abs(dense - t))) for t in traj.points})
-    assert np.array_equal(ckpt.trajectory_points, dense[nearest])
-    assert np.array_equal(ckpt.states, full.states[[1000 - j for j in reversed(nearest)]])
-    base = baseline_tuned(traj, schedule, "ddim-family")
-    p = generate_paths(x_T, base, SamplerConfig(), gmm8_model)
-    assert gap_profile(p, ckpt).to_csv() == gap_profile(p, full).to_csv()
+    assert np.array_equal(ckpt.states, full.states[record])
+
+
+def test_off_grid_checkpoint_is_the_exact_flow_there(gmm8_model, schedule):
+    # K = 20 quadratic has t_1 = 2.5, half a dense step off the grid; the
+    # reference's state there is a dense rollout that ends at 2.5
+    traj = make_trajectory("quadratic", 20, schedule)
+    t_1 = float(traj.points[1])
+    assert t_1 == pytest.approx(2.5, abs=1e-12)
+    x_T = draw_start_states(gmm8_model, 1024, 0)
+    ref = reference_path(x_T, gmm8_model, dense_K=1000, checkpoints=traj.points)
+    [exact] = dense_flow(x_T, gmm8_model, _dense_points(schedule.T, t_1, 1000), [1000])
+    err = float(np.linalg.norm(ref.state_at(1) - exact, axis=1).mean())
+    assert err < 1e-4, err
+
+
+def test_reference_rejects_bad_checkpoints(gmm8_model):
+    x_T = draw_start_states(gmm8_model, 8, 0)
+    for t_min, checkpoints, match in (
+        (0.0, [0.0, 1500.0], r"within \[0.0, 1000.0\]"),
+        (10.0, [0.0, 1000.0], r"within \[10.0, 1000.0\]"),
+        (0.0, [-1.0], "within"),
+        (0.0, [np.nan], "within"),
+        (0.0, [0.0, 500.0, 500.0, 1000.0], "must increase strictly"),
+        (0.0, [0.0, 600.0, 500.0, 1000.0], "must increase strictly"),
+        (0.0, [], "non-empty 1-D array"),
+        (0.0, [[0.0, 1000.0]], "non-empty 1-D array"),
+    ):
+        with pytest.raises(DomainError, match=match):
+            reference_path(x_T, gmm8_model, dense_K=100, t_min=t_min, checkpoints=checkpoints)
+    # within 1e-9 T of an end, a checkpoint is that end
+    ends = [10.0 - 1e-7, 500.0, 1000.0 + 1e-7]
+    ref = reference_path(x_T, gmm8_model, dense_K=100, t_min=10.0, checkpoints=ends)
+    assert np.array_equal(ref.trajectory_points, ends)
+    assert np.array_equal(ref.states[0], x_T)
 
 
 def test_reference_checkpoints_bound_memory(gmm8_model, schedule):
@@ -222,17 +284,21 @@ def test_gap_profile_of_path_against_itself(gmm8_model, schedule):
     assert [r[1] for r in gp.rows] == list(traj.points)
 
 
-def test_gap_profile_nearest_index_mapping(gmm8_model, schedule):
+def test_gap_profile_pairs_states_by_index(gmm8_model, schedule):
     traj = make_trajectory("uniform", 10, schedule)
     base = baseline_tuned(traj, schedule, "ddim-family")
     x_T = draw_start_states(gmm8_model, 128, 0)
     p = generate_paths(x_T, base, SamplerConfig(), gmm8_model)
-    ref = reference_path(x_T, gmm8_model, dense_K=1000)
+    ref = reference_path(x_T, gmm8_model, dense_K=1000, checkpoints=traj.points)
+    full = reference_path(x_T, gmm8_model, dense_K=1000)
     gp = gap_profile(p, ref)
     for i in (0, 3, 7, 10):
-        gt = ref.states[1000 - 100 * i]
-        manual = float(np.linalg.norm(p.state_at(i) - gt, axis=1).mean())
+        assert np.array_equal(ref.state_at(i), full.state_at(100 * i))
+        manual = float(np.linalg.norm(p.state_at(i) - ref.state_at(i), axis=1).mean())
         assert gp.rows[i][2] == manual
+    # a reference on other points is not paired with the checkpoints
+    with pytest.raises(ContractError, match="share their checkpoints"):
+        gap_profile(p, full)
 
 
 def test_gap_profile_rejects_mismatched_starts(gmm8_model, schedule):
@@ -241,22 +307,22 @@ def test_gap_profile_rejects_mismatched_starts(gmm8_model, schedule):
     x_a = draw_start_states(gmm8_model, 32, 0)
     x_b = draw_start_states(gmm8_model, 32, 1)
     p = generate_paths(x_a, base, SamplerConfig(), gmm8_model)
-    ref = reference_path(x_b, gmm8_model, dense_K=100)
-    with pytest.raises(ContractError):
+    ref = reference_path(x_b, gmm8_model, dense_K=100, checkpoints=traj.points)
+    with pytest.raises(ContractError, match="share x_T"):
         gap_profile(p, ref)
-    ref_small = reference_path(x_a[:16], gmm8_model, dense_K=100)
+    ref_small = reference_path(x_a[:16], gmm8_model, dense_K=100, checkpoints=traj.points)
     with pytest.raises(ContractError):
         gap_profile(p, ref_small)
 
 
 def test_final_gap_shrinks_with_more_steps(gmm8_model, schedule):
     x_T = draw_start_states(gmm8_model, 512, 0)
-    ref = reference_path(x_T, gmm8_model, dense_K=1000)
     finals = {}
     for K in (10, 20):
         traj = make_trajectory("quadratic", K, schedule)
         base = baseline_tuned(traj, schedule, "ddim-family")
         p = generate_paths(x_T, base, SamplerConfig(), gmm8_model)
+        ref = reference_path(x_T, gmm8_model, dense_K=1000, checkpoints=traj.points)
         finals[K] = gap_profile(p, ref).rows[0][2]
     assert finals[20] < finals[10]
 

@@ -8,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import finite_difference_gradient, mixture_posterior
-from steptuner import DomainError, GaussianMixtureOracle, NoiseSchedule, gmm8, standard_gaussian
-from steptuner.analysis import _dense_points
+from steptuner import (
+    DomainError,
+    GaussianMixtureOracle,
+    NoiseSchedule,
+    gmm8,
+    make_trajectory,
+    standard_gaussian,
+)
+from steptuner.analysis import _dense_points, _merged_points
 from steptuner import oracle as oracle_module
 from steptuner.oracle import make_oracle
 from steptuner.rng import PURPOSE_DATA, derive_rng
@@ -118,7 +125,8 @@ def test_exp_floor_bound_is_sound(schedule, k, D, radius, t, seed):
     safe = np.sum(x * x, axis=1) <= table.safe_r2
     assert np.all(shifted[safe] >= oracle_module._EXP_FLOOR)
     grid = model.times(np.array([t, 0.5 * t, schedule.T]))
-    assert grid.safe_r2 == min(grid[j].safe_r2 for j in range(3))
+    alone = [model.times(tg).safe_r2 for tg in grid.t]
+    assert np.array_equal(grid.row_safe_r2, alone) and grid.safe_r2 == min(alone)
 
 
 def test_nan_time_rejected(gmm8_model):
@@ -187,42 +195,49 @@ def test_multi_time_epsilon_slices_equal_scalar_calls(schedule, name, n, times, 
 )
 def test_time_table_rows_equal_plain_times(schedule, name, n, times, seed):
     # a table built once and passed to many calls is the same evaluation as
-    # the plain time, bit for bit: one table, row by row, or whole
+    # the plain time, bit for bit: whole, one time alone, or row by row as
+    # the kernel reads it in place
     model = _MULTI_MODELS[name](schedule)
     ts = np.array([schedule.t_eps if t == "t_eps" else t for t in times])
     x = np.random.default_rng(seed).standard_normal((n, model.dim)) * 2.0
     table = model.times(ts)
+    X, _ = model._points(x)
     for j, t in enumerate(ts):
-        assert np.array_equal(model.epsilon(x, table[j]), model.epsilon(x, t))
+        assert np.array_equal(model._evaluate(X, table, j).T[:n], model.epsilon(x, t))
+    assert np.array_equal(model._evaluate(X, table, 0, times_sigma=False).T[:n], model.score(x, ts[0]))
     assert np.array_equal(model.epsilon(x, table), model.epsilon(x, ts))
-    for method in METHODS[1:]:
-        assert np.array_equal(getattr(model, method)(x, table[0]), getattr(model, method)(x, ts[0]))
+    first = model.times(ts[0])
+    for method in METHODS:
+        assert np.array_equal(getattr(model, method)(x, first), getattr(model, method)(x, ts[0]))
     # one point at G times gives G densities, as it gives one at one time
     assert np.array_equal(model.log_density(x[0], table), model.log_density(x[:1], ts)[:, 0])
-    assert model.log_density(x[0], table[0]) == model.log_density(x[0], ts[0])
+    assert model.log_density(x[0], first) == model.log_density(x[0], ts[0])
 
 
 @pytest.mark.parametrize("name", sorted(_MULTI_MODELS))
 @pytest.mark.parametrize("t_min", [0.0, 1.0])
 def test_time_table_rows_on_the_dense_grid(schedule, name, t_min):
-    # the dense reference's 1,001 points: each row of the one table equals
-    # the table its time alone builds
+    # the dense reference's points, the uniform 1,001 and those merged with
+    # the off-grid checkpoints of K = 20 quadratic: each row of the one
+    # table, as the kernel reads it, equals the table its time alone builds
     model = _MULTI_MODELS[name](schedule)
-    pts = _dense_points(schedule.T, t_min, 1000)
-    table = model.times(pts)
-    assert table.C.shape == (1001, len(model.weights), model.dim + 3)
-    for j, t in enumerate(pts):
-        row, alone = table[j], model.times(t)
-        assert row.t == alone.t == t
-        assert np.array_equal(row.C, alone.C) and row.sigma == alone.sigma, j
+    checkpoints = make_trajectory("quadratic", 20, schedule, t_min=t_min).points
+    merged, _ = _merged_points(schedule.T, t_min, 1000, checkpoints)
+    for pts in (_dense_points(schedule.T, t_min, 1000), merged):
+        table = model.times(pts)
+        assert table.C.shape == (len(pts), len(model.weights), model.dim + 3)
+        for j, t in enumerate(pts):
+            alone = model.times(t)
+            assert table.t[j] == alone.t == t
+            assert np.array_equal(table.C[j], alone.C), j
+            assert table.sigma[j, 0] == alone.sigma and table.row_safe_r2[j] == alone.safe_r2, j
+    assert len(merged) > 1001
 
 
 def test_time_table_misuse_rejected(schedule, gmm8_model):
     x = np.zeros((3, 2))
     with pytest.raises(DomainError, match="another oracle"):
         gmm8_model.epsilon(x, gmm8(schedule).times(10.0))
-    with pytest.raises(DomainError, match="no rows"):
-        gmm8_model.times(10.0)[0]
     with pytest.raises(DomainError):
         gmm8_model.times(np.full((2, 2), 10.0))
     with pytest.raises(ValueError):
