@@ -19,12 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, check_integer
 from .oracle import GaussianMixtureOracle
 from .rng import PURPOSE_PATHS, PURPOSE_PROJ, derive_rng
 from .samplers import SamplePath, SamplerConfig, _deterministic_part, sample_path
 from .trajectory import Trajectory, TunedTrajectory, baseline_tuned
-from .tuner import _consistency, _mean_stderr, _prediction_time, _sum_last
+from .tuner import _loss, _mean_stderr, _prediction_time, _sum_last
 
 # projection directions per chunk in sliced_wasserstein
 _PROJ_CHUNK = 16
@@ -239,12 +239,8 @@ def _checked_sets(sets: list, n_projections: Optional[int] = None) -> list:
     n_projections, where given, an integer >= 1; anything else raises
     DomainError.
     """
-    if n_projections is not None and (
-        isinstance(n_projections, bool)
-        or not isinstance(n_projections, Integral)
-        or n_projections < 1
-    ):
-        raise DomainError(f"n_projections: must be an integer >= 1, got {n_projections!r}")
+    if n_projections is not None:
+        check_integer("n_projections", n_projections, 1)
     sets = [np.asarray(x, dtype=float) for x in sets]
     sets = [x.reshape(-1, 1) if x.ndim < 2 else x for x in sets]
     for x in sets:
@@ -455,8 +451,8 @@ def error_bound_report(
     root_losses, continuity = [], []
     for l in range(1, traj.K + 1):
         target = model.epsilon(coarse.state_at(l), pts[l])
-        y = coarse.state_at(l - 1)
-        [(loss, _)] = _consistency(model, y, _prediction_time(model, pts[l - 1]), target)
+        pred = model.epsilon(coarse.state_at(l - 1), _prediction_time(model, pts[l - 1]))
+        loss, _ = _loss(pred.T, target.T)
         root_losses.append(sqrt(loss))
         d = model.epsilon(reference.state_at(l), pts[l])
         d -= model.epsilon(reference.state_at(l - 1), pts[l - 1])

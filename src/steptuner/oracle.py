@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .rng import BLOCK, PURPOSE_DATA, per_sample_map
 from .schedule import NoiseSchedule
 
@@ -361,8 +361,7 @@ def standard_gaussian(schedule: NoiseSchedule, dim: int = 2) -> GaussianMixtureO
 
 def make_oracle(preset: str, schedule: NoiseSchedule, dim: int = 2) -> GaussianMixtureOracle:
     """Named mixture; dim is the dimension of the standard preset."""
-    if dim < 1:
-        raise DomainError(f"dim: must be >= 1, got {dim}")
+    check_integer("dim", dim, 1)
     if preset == "gmm8":
         return gmm8(schedule)
     if preset == "standard":

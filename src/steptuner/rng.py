@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 
 # Purpose tags keep seed key tuples disjoint across uses of the same master
 # seed. Values are arbitrary but frozen: changing them changes all outputs.
@@ -40,8 +40,9 @@ _WORD = 2**32
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
-    """Seeds are one 32-bit word of a generator key."""
-    if not (0 <= seed < _WORD):
+    """Seeds are one 32-bit word of a generator key: integers in [0, 2**32)."""
+    check_integer(name, seed, 0)
+    if seed >= _WORD:
         raise DomainError(f"{name}: must lie in [0, 2**32), got {seed}")
 
 

@@ -106,28 +106,37 @@ def _check_taus(T: float, *taus) -> None:
             raise DomainError(f"conditioning time must lie in (0, T], got {tau}")
 
 
-def _predict(model: GaussianMixtureOracle, x: np.ndarray, tau) -> np.ndarray:
-    """model.epsilon of one (n, D) state, or of a (G, n, D) stack at one time."""
-    if x.ndim == 2:
-        return model.epsilon(x, tau)
-    if np.ndim(tau):
-        raise DomainError("a stack of states takes one conditioning time")
-    return model.epsilon(x.reshape(-1, x.shape[-1]), tau).reshape(x.shape)
+def _update(x, ratio: float, coef: float, eps, out=None):
+    """ratio * x - coef * eps: every solver update and stage is this expression.
 
-
-def _deterministic_part(x, a_from, s_from, a_to, s_to_eff, eps_hat, out=None):
-    # Single shared expression so every caller produces bit-identical
-    # arithmetic; do not reassociate. The result goes to out, which may be
-    # x itself, or else to the eps term's new array, which has its shape.
-    shift = (a_to * s_from / a_from - s_to_eff) * eps_hat
-    scaled = np.multiply(a_to / a_from, x, out=out)
+    Sharing it is what makes the rollout, the tuner's scorer and the dense
+    reference produce bit-identical arithmetic; do not reassociate. x and
+    eps may be in either layout, (n, D) or point-major (..., D, n), as long
+    as they broadcast. The result goes to out, which may be x itself, or
+    else to the eps term's new array, which has its shape.
+    """
+    shift = coef * eps
+    scaled = np.multiply(ratio, x, out=out)
     return np.subtract(scaled, shift, out=shift if out is None else out)
 
 
-def _eta_noise_scale(eta: float, a_from, s_from, a_to, s_to) -> float:
-    # Standard eta-interpolation between the deterministic and ancestral
-    # updates; at eta = 1 this is the ancestral posterior noise scale.
-    return eta * (s_to / s_from) * sqrt(max(0.0, 1.0 - (a_from * a_from) / (a_to * a_to)))
+def _deterministic_part(x, a_from, s_from, a_to, s_to_eff, eps_hat, out=None):
+    """The eta-family update without its noise, from the prediction eps_hat at x."""
+    return _update(x, a_to / a_from, a_to * s_from / a_from - s_to_eff, eps_hat, out)
+
+
+def _eta_scales(c: StepConstants, eta: float) -> tuple:
+    """(s_to_eff, sig_eta) of an eta-family step: the sigma its deterministic
+    part lands on and the scale of its noise; (s_to, 0) at eta = 0.
+
+    Standard eta-interpolation between the deterministic and ancestral
+    updates; at eta = 1 sig_eta is the ancestral posterior noise scale.
+    """
+    if eta == 0.0:
+        return c.s_to, 0.0
+    ratio = 1.0 - (c.a_from * c.a_from) / (c.a_to * c.a_to)
+    sig_eta = eta * (c.s_to / c.s_from) * sqrt(max(0.0, ratio))
+    return sqrt(max(0.0, c.s_to * c.s_to - sig_eta * sig_eta)), sig_eta
 
 
 def ddim_step(
@@ -148,12 +157,11 @@ def ddim_step(
     _check_taus(model.schedule.T, tau)
     if eta > 0.0 and noise is None:
         raise ContractError("eta > 0 requires a noise array")
-    eps_hat = model.epsilon(x, tau)
-    if eta == 0.0:
-        return _deterministic_part(x, c.a_from, c.s_from, c.a_to, c.s_to, eps_hat)
-    sig_eta = _eta_noise_scale(eta, c.a_from, c.s_from, c.a_to, c.s_to)
-    s_to_eff = sqrt(max(0.0, c.s_to * c.s_to - sig_eta * sig_eta))
-    return _deterministic_part(x, c.a_from, c.s_from, c.a_to, s_to_eff, eps_hat) + sig_eta * noise
+    s_to_eff, sig_eta = _eta_scales(c, eta)
+    y = _deterministic_part(x, c.a_from, c.s_from, c.a_to, s_to_eff, model.epsilon(x, tau))
+    if eta > 0.0:
+        y += sig_eta * noise
+    return y
 
 
 def ddim_step_baseline(
@@ -168,14 +176,15 @@ def ddim_step_baseline(
     return ddim_step(x, t_from, t_to, t_from, model, eta, noise)
 
 
-def _midpoint_state(x, c: StepConstants, tau_a, model) -> np.ndarray:
-    """Stage 1 of the two-evaluation step: the state u at the log-SNR midpoint."""
-    return (c.a_mid / c.a_from) * x - c.s_mid * (exp(0.5 * c.h) - 1.0) * model.epsilon(x, tau_a)
+def _midpoint_state(x, c: StepConstants, eps, out=None):
+    """Stage 1 of the two-evaluation step: the state u at the log-SNR
+    midpoint, from the prediction eps at x (see ``_update`` for out)."""
+    return _update(x, c.a_mid / c.a_from, c.s_mid * (exp(0.5 * c.h) - 1.0), eps, out)
 
 
-def _midpoint_update(x, u, c: StepConstants, tau_b, model) -> np.ndarray:
-    """Stage 2: the step from x with the model evaluated at u."""
-    return (c.a_to / c.a_from) * x - c.s_to * (exp(c.h) - 1.0) * _predict(model, u, tau_b)
+def _midpoint_update(x, c: StepConstants, eps, out=None):
+    """Stage 2: the step from x, from the prediction eps at the midpoint state u."""
+    return _update(x, c.a_to / c.a_from, c.s_to * (exp(c.h) - 1.0), eps, out)
 
 
 def dpm_solver2_step(
@@ -190,12 +199,11 @@ def dpm_solver2_step(
 
     Baseline conditioning is tau_a = t_from and tau_b = the midpoint time;
     tuning replaces only those two arguments, never the coefficients.
-    Either time, not both, may be a 1-D array of G candidate times; the
-    result then stacks the G steps as (G, n, D).
     """
     c = step_constants(model.schedule, t_from, t_to, "dpm-solver-2")
     _check_taus(model.schedule.T, tau_a, tau_b)
-    return _midpoint_update(x, _midpoint_state(x, c, tau_a, model), c, tau_b, model)
+    u = _midpoint_state(x, c, model.epsilon(x, tau_a))
+    return _midpoint_update(x, c, model.epsilon(u, tau_b))
 
 
 def step(
@@ -216,48 +224,6 @@ def step(
     if sampler.kind == "ddim-family":
         return ddim_step(x, t_from, t_to, taus[0], model, sampler.eta, noise)
     return dpm_solver2_step(x, t_from, t_to, taus[0], taus[1], model)
-
-
-def site_step(
-    x: np.ndarray,
-    t_from: float,
-    t_to: float,
-    taus,
-    site: int,
-    model: GaussianMixtureOracle,
-    sampler: SamplerConfig,
-    noise: Optional[np.ndarray] = None,
-):
-    """The step from x as a function of the time at one evaluation site.
-
-    The other sites stay at taus. The function takes a 1-D array of G
-    candidate times and returns the (G, n, D) stepped states, each equal
-    bitwise to ``step`` at its one time. What does not depend on the
-    candidate is computed here, once: for a two-evaluation step, the
-    oracle's table of the held midpoint-site time when the first site
-    varies, and the stage-1 state of the held first site when the second
-    varies. An eta-family step has one site and goes through ``step``.
-    """
-    if sampler.kind == "ddim-family":
-        return lambda cand: step(x, t_from, t_to, (cand,), model, sampler, noise)
-    c = step_constants(model.schedule, t_from, t_to, sampler.kind)
-    T = model.schedule.T
-    _check_taus(T, taus[1 - site])
-    if site == 0:
-        held = model.times(taus[1])
-
-        def stepped(cand):
-            _check_taus(T, cand)
-            return _midpoint_update(x, _midpoint_state(x, c, cand, model), c, held, model)
-
-        return stepped
-    u = _midpoint_state(x, c, taus[0], model)
-
-    def stepped(cand):
-        _check_taus(T, cand)
-        return _midpoint_update(x, u, c, cand, model)
-
-    return stepped
 
 
 def sample_path(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, check_integer
 from .schedule import NoiseSchedule
 
 
@@ -105,8 +105,7 @@ def make_trajectory(
     quadratic: t_i = t_min + (T - t_min) * (i/K)^2   (dense near t = 0)
     log-snr:   equal lambda spacing; endpoints forced to t_min and T
     """
-    if K < 1:
-        raise DomainError(f"K: must be >= 1, got {K}")
+    check_integer("K", K, 1)
     T = schedule.T
     if not (0 <= t_min < T):
         raise DomainError(f"t_min: must lie in [0, T), got {t_min}")

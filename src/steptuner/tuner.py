@@ -20,30 +20,52 @@ every candidate tau. Minimization is a coarse grid scan followed by
 golden-section refinement; the untuned time is always a candidate, so the
 tuned loss can never exceed the baseline loss under the training batch.
 
-Every candidate is scored by one path, ``StepLoss.site``: the oracle
-takes one state and G times in one call, the solver step broadcasts over
-those G times, and the consistency prediction runs on the stacked G n
-rows. The search hands it the whole coarse grid at once and each
-golden-section probe as a one-element array. A pass stacks at most
-``_PASS_ROWS`` = 8192 rows (max(1, 8192 // batch) candidates), which
-bounds the memory a pass holds; each estimate equals the candidate's own
-evaluation bitwise. With the first site of a two-evaluation step held,
-its stage-1 state is computed once for the whole search of the second
-site.
+Every candidate is scored by one path, the site scorer that
+``StepLoss.site`` builds once per site search. The scorer holds the step's
+frozen state as the oracle's point-major array X = [1; x^T; -||x||^2 / 2]
+(see ``oracle``), built once, and one workspace per pass width G that every
+pass of that width writes over: the (D + 2, G n) point array of the G
+stepped states and the oracle's output, logits and moments. A pass costs
+the candidates' time table, the oracle evaluations of the step (X at the
+G times at once) and of the prediction (the G n stepped points at one
+time), the step formula written in place into the stepped point rows, and
+the loss reduction; nothing is transposed, re-validated or allocated per
+candidate. The coarse grid goes through in passes of at most
+``_PASS_ROWS`` = 8192 rows (max(1, 8192 // batch) candidates), which bounds
+the workspace. Each golden-section probe is a pass of one candidate, and
+its table is the oracle's scalar-time one, which is cheaper to build than
+a one-element array's and gives the same bits. So a probe costs its table
+and the arithmetic of its rows; a fresh ``epsilon`` call per stage would
+add its input check, transpose and new output to each of the probe's two
+or three oracle evaluations, a fixed cost that at batch 1024 exceeds the
+arithmetic. Each estimate equals the candidate's own evaluation through
+``samplers.step`` bitwise, since the scorer and the sampler share the step
+formula. With the first site of a two-evaluation step held, its stage-1
+state is computed once per search of the second site; with the second
+held, its time's table is built once per search of the first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
-from typing import Callable, Optional, Sequence
+from math import isfinite, sqrt
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, check_integer
 from .oracle import GaussianMixtureOracle, OracleTimes
 from .rng import PURPOSE_TUNE, check_seed
-from .samplers import SamplerConfig, site_step, step
+from .samplers import (
+    SamplerConfig,
+    _check_taus,
+    _deterministic_part,
+    _eta_scales,
+    _midpoint_state,
+    _midpoint_update,
+    step,
+    step_constants,
+)
 from .trajectory import Trajectory, TunedTrajectory, baseline_tuned
 
 _GOLDEN = (sqrt(5.0) - 1.0) / 2.0
@@ -66,10 +88,8 @@ class TunerConfig:
             raise DomainError(f"strategy: unknown tuner strategy {self.strategy!r}")
         if self.bounds not in TUNER_BOUNDS:
             raise DomainError(f"bounds: unknown bounds mode {self.bounds!r}")
-        if self.batch < 1:
-            raise DomainError(f"batch: must be >= 1, got {self.batch}")
-        if self.coarse_grid < 3:
-            raise DomainError(f"coarse_grid: must be >= 3, got {self.coarse_grid}")
+        check_integer("batch", self.batch, 1)
+        check_integer("coarse_grid", self.coarse_grid, 3)
         if not (self.refine_tol > 0):
             raise DomainError(f"refine_tol: must be positive, got {self.refine_tol}")
         check_seed(self.seed)
@@ -101,12 +121,13 @@ def _mean_stderr(per_row: np.ndarray) -> tuple:
     """Mean of per-row values along the last axis and its standard error (0
     for a single row): floats for one set of rows, lists for a stack of them."""
     n = per_row.shape[-1]
-    mean = per_row.mean(axis=-1, keepdims=True)
+    # ndarray.mean's and np.std(ddof=1)'s arithmetic without their Python
+    # wrappers, the deviations taken from the mean already computed
+    mean = np.add.reduce(per_row, axis=-1, keepdims=True) / n
     if n > 1:
-        # np.std(ddof=1) in its own steps, on the mean already taken
         d = per_row - mean
         d *= d
-        stderr = np.sqrt(d.sum(axis=-1) / (n - 1)) / sqrt(n)
+        stderr = np.sqrt(np.add.reduce(d, axis=-1) / (n - 1)) / sqrt(n)
     else:
         stderr = np.zeros_like(mean[..., 0])
     return mean[..., 0].tolist(), stderr.tolist()
@@ -133,30 +154,137 @@ def _prediction_time(model: GaussianMixtureOracle, t_to: float) -> OracleTimes:
     return model.times(max(t_to, model.schedule.t_eps))
 
 
-def _consistency(
-    model: GaussianMixtureOracle, y: np.ndarray, t_pred: OracleTimes, *targets: np.ndarray
-) -> list:
-    """(mean, stderr) of the squared distance from the model's prediction at
-    the stepped state y to each target; one model call serves every target.
+def _loss(pred: np.ndarray, target: np.ndarray) -> tuple:
+    """(mean, stderr) over points of the squared distance from pred to target.
 
-    y is one (n, D) state or a (G, n, D) stack of them, scored in one call
-    on its G n rows; a stack gives each mean and stderr as a list over G.
-    The prediction is conditioned at t_pred, from ``_prediction_time``.
+    Both are point-major, (..., D, n) and broadcasting: the squared distance
+    is summed over D in ``_sum_last``'s order, then ``_mean_stderr`` reduces
+    the n points, so a (G, D, n) stack gives lists over G. Every loss the
+    package reports, in the tuner and in ``error_bound_report``, is this.
     """
-    rows = y.reshape(-1, y.shape[-1])
-    pred = model.epsilon(rows, t_pred).reshape(y.shape)
-    out = []
-    for target in targets:
-        d = pred - target
-        d *= d
-        out.append(_mean_stderr(_sum_last(d)))
-    return out
+    d = pred - target
+    d *= d
+    return _mean_stderr(_sum_last(d.swapaxes(-1, -2)))
 
 
-# Rows of one stacked scoring pass: G candidates of a batch of n rows are
-# scored together in passes of max(1, _PASS_ROWS // n) candidates, which
-# bounds the (G, n, D) stacks and the oracle's (G, k, n) arrays.
+# Rows of one scoring pass: G candidates of a batch of n rows are scored
+# together in passes of max(1, _PASS_ROWS // n) candidates, which bounds a
+# site scorer's workspace.
 _PASS_ROWS = 8192
+
+
+class _Workspace(NamedTuple):
+    """The buffers of one pass width G of a site scorer, over N point columns.
+
+    Y is the (D + 2, G N) point array of the G stepped states, its point
+    rows viewed as y, (G, D, N). One output, one logits and one moments
+    buffer serve every oracle evaluation of a pass, as the keyword
+    arguments of ``_evaluate``: ``at_cands`` for an N-column point array at
+    the candidates' table, ``at_one`` for Y at one time, whose output is
+    also viewed as pred, (G, D, N).
+    """
+
+    Y: np.ndarray
+    y: np.ndarray
+    at_cands: dict
+    at_one: dict
+    pred: np.ndarray
+
+
+def _workspace(model: GaussianMixtureOracle, G: int, N: int) -> _Workspace:
+    D, k = model.dim, len(model.weights)
+    Y = np.empty((D + 2, G * N))
+    Y[0] = 1.0
+    eps, g, M = np.empty(D * G * N), np.empty(k * G * N), np.empty((D + 2) * G * N)
+
+    def buffers(lead: tuple, cols: int) -> dict:
+        parts = (("out", eps, D), ("g", g, k), ("M", M, D + 2))
+        return {name: buf.reshape(lead + (rows, cols)) for name, buf, rows in parts}
+
+    def by_point(rows: np.ndarray) -> np.ndarray:
+        return rows.reshape(D, G, N).swapaxes(0, 1)
+
+    # a one-candidate pass evaluates at a scalar-time table, without the G axis
+    lead = (G,) if G > 1 else ()
+    return _Workspace(Y, by_point(Y[1 : D + 1]), buffers(lead, N), buffers((), G * N),
+                      by_point(eps.reshape(D, G * N)))
+
+
+class _SiteScorer:
+    """Loss estimates of candidate times at site idx of a StepLoss, the other
+    sites held at taus; see the module docstring for what a pass costs.
+
+    Called with a 1-D array of times, it gives per target (each an (n, D)
+    array) the candidates' estimates, in passes of at most ``_PASS_ROWS``
+    rows. An eta-family step evaluates the frozen state X at the candidates
+    and steps. A midpoint step varying its first site evaluates X at the
+    candidates, writes the G stage-1 states into the stepped rows, evaluates
+    them at the held time and steps; varying its second site, it evaluates
+    the held stage-1 state U, built once, at the candidates and steps.
+    """
+
+    def __init__(self, loss: "StepLoss", idx: int, taus: Sequence[float], targets):
+        model, sampler = loss.model, loss.sampler
+        T, D = model.schedule.T, model.dim
+        self.loss, self.model, self.T = loss, model, T
+        self.c = c = step_constants(model.schedule, loss.t_from, loss.t_to, sampler.kind)
+        X, self.n = model._points(loss.state)
+        self.x = X[1 : D + 1]
+        self.targets = [np.ascontiguousarray(t.T) for t in targets]
+        self.spaces: dict = {}  # pass width -> _Workspace
+        self.src, self.held, self.noise = X, None, None
+        self.eta_family = sampler.kind == "ddim-family"
+        if self.eta_family:
+            self.s_to_eff, sig_eta = _eta_scales(c, sampler.eta)
+            if sampler.eta > 0.0:
+                self.noise = sig_eta * loss.step_noise.T
+            return
+        _check_taus(T, taus[1 - idx])
+        if idx == 0:
+            self.held = model.times(float(taus[1]))
+            return
+        self.src = U = np.empty_like(X)
+        U[0] = 1.0
+        _midpoint_state(self.x, c, model._evaluate(X, model.times(float(taus[0]))),
+                        out=U[1 : D + 1])
+
+    def _pass(self, chunk: np.ndarray) -> list:
+        """Per target, (means, stderrs) over the G candidates of chunk."""
+        G, model, c, x = len(chunk), self.model, self.c, self.x
+        ws = self.spaces.get(G)
+        if ws is None:
+            ws = self.spaces[G] = _workspace(model, G, self.src.shape[1])
+        y = ws.y
+        table = model.times(float(chunk[0]) if G == 1 else chunk)
+        eps = model._evaluate(self.src, table, **ws.at_cands)
+        if self.eta_family:
+            _deterministic_part(x, c.a_from, c.s_from, c.a_to, self.s_to_eff, eps, out=y)
+            if self.noise is not None:
+                y += self.noise
+        elif self.held is not None:
+            _midpoint_state(x, c, eps, out=y)
+            model._evaluate(ws.Y, self.held, **ws.at_one)
+            _midpoint_update(x, c, ws.pred, out=y)
+        else:
+            _midpoint_update(x, c, eps, out=y)
+        model._evaluate(ws.Y, self.loss.t_pred, **ws.at_one)
+        pred = ws.pred[..., : self.n]
+        return [_loss(pred, target) for target in self.targets]
+
+    def __call__(self, values) -> list:
+        values = np.asarray(values, dtype=float)
+        _check_taus(self.T, values)
+        batch = self.loss.batch
+        per_pass = max(1, _PASS_ROWS // batch)
+        out = [[] for _ in self.targets]
+        for start in range(0, len(values), per_pass):
+            chunk = values[start : start + per_pass]
+            for estimates, (means, stderrs) in zip(out, self._pass(chunk)):
+                for tau, value, stderr in zip(chunk, means, stderrs):
+                    if not isfinite(value):
+                        raise NumericError(f"non-finite loss at conditioning time {tau}")
+                    estimates.append(LossEstimate(value=value, stderr=stderr, batch=batch))
+        return out
 
 
 class StepLoss:
@@ -187,8 +315,7 @@ class StepLoss:
     ):
         if not (1 <= i <= traj.K):
             raise DomainError(f"step index must lie in [1, {traj.K}], got {i}")
-        if batch < 1:
-            raise DomainError(f"batch: must be >= 1, got {batch}")
+        check_integer("batch", batch, 1)
         if prefix is not None and len(prefix) != traj.K - i:
             raise DomainError(
                 f"rolled loss at step {i} needs {traj.K - i} prefix entries, "
@@ -217,34 +344,15 @@ class StepLoss:
         self.t_pred = _prediction_time(model, self.t_to)
         self.batch = batch
 
-    def _scores(self, stepped, values, *targets: np.ndarray) -> list:
-        """Per target, the estimates of every candidate value, in stacked passes."""
-        values = np.asarray(values, dtype=float)
-        per_pass = max(1, _PASS_ROWS // self.batch)
-        out = [[] for _ in targets]
-        for start in range(0, len(values), per_pass):
-            chunk = values[start : start + per_pass]
-            y = stepped(chunk)
-            for estimates, (means, stderrs) in zip(
-                out, _consistency(self.model, y, self.t_pred, *targets)
-            ):
-                for tau, value, stderr in zip(chunk, means, stderrs):
-                    if not np.isfinite(value):
-                        raise NumericError(f"non-finite loss at conditioning time {tau}")
-                    estimates.append(LossEstimate(value=value, stderr=stderr, batch=self.batch))
-        return out
-
     def site(self, idx: int, taus: Sequence[float]) -> Callable:
         """Scorer of candidate times at evaluation site idx, the others held at taus.
 
         It maps a 1-D array of G times to their G loss estimates; each equals
-        the call with its one site tuple bitwise.
+        the call with its one site tuple bitwise. Build one per site search:
+        what does not depend on the candidates is built with it, once.
         """
-        stepped = site_step(
-            self.state, self.t_from, self.t_to, taus, idx, self.model, self.sampler,
-            self.step_noise,
-        )
-        return lambda values: self._scores(stepped, values, self.target)[0]
+        scorer = _SiteScorer(self, idx, taus, (self.target,))
+        return lambda values: scorer(values)[0]
 
     def __call__(self, taus: Sequence[float]) -> LossEstimate:
         return self.site(0, taus)([taus[0]])[0]
@@ -274,8 +382,7 @@ def optimize_tau(
     lo, hi = bounds
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got ({lo}, {hi})")
-    if coarse_grid < 2:
-        raise DomainError(f"coarse_grid: must be >= 2, got {coarse_grid}")
+    check_integer("coarse_grid", coarse_grid, 2)
 
     def loss(tau):
         return losses(np.array([tau]))[0]
@@ -396,17 +503,21 @@ def diagnostic_loss_curves(
     seed: int,
     n_grid: int = 101,
 ) -> dict:
-    """Consistency loss and denoising loss on a shared tau grid.
+    """Consistency loss and denoising loss on a shared tau grid, with their
+    standard errors ("consistency_stderr", "denoising_stderr").
 
     Both curves score the same frozen batch of exact forward samples at
     t_i, where the denoising target is the batch's true noise, over the
-    interval (max(t_{i-1}, t_eps), t_i). The grid goes through the tuner's
-    stacked passes once: one step and one prediction serve both targets.
+    interval (max(t_{i-1}, t_eps), t_i). The grid goes through one site
+    scorer of the tuner once: one step and one prediction serve both
+    targets.
     """
     loss = StepLoss(i, traj, model, batch=batch, seed=seed)
     lo, hi = _search_bounds("interval", traj, i, model.schedule.t_eps)
     grid = np.linspace(lo, hi, n_grid)
-    stepped = site_step(loss.state, loss.t_from, loss.t_to, (hi,), 0, model, loss.sampler)
-    curves = loss._scores(stepped, grid, loss.target, loss._true_noise())
-    consistency, denoising = (np.array([e.value for e in c]) for c in curves)
-    return {"tau_grid": grid, "consistency": consistency, "denoising": denoising}
+    curves = {"tau_grid": grid}
+    scored = _SiteScorer(loss, 0, (hi,), (loss.target, loss._true_noise()))(grid)
+    for name, estimates in zip(("consistency", "denoising"), scored):
+        curves[name] = np.array([e.value for e in estimates])
+        curves[name + "_stderr"] = np.array([e.stderr for e in estimates])
+    return curves

@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from steptuner import cli
@@ -164,7 +165,21 @@ _PARITY_ROWS = [
     ("seeds", "eval", 3),
     ("seeds", "sample", 2**32),
     ("seeds", "data", 2**32 - 1),
-] + _NON_FINITE_ROWS
+] + _NON_FINITE_ROWS + [
+    # integer fields: a float, even an integral one, and a bool are not integers
+    row
+    for block, name, as_float in [
+        ("oracle", "dim", 2.5),
+        ("trajectory", "K", 10.0),
+        ("tuner", "batch", 64.5),
+        ("tuner", "coarse_grid", 5.0),
+        ("tuner", "seed", 1.5),
+        ("seeds", "sample", 1.5),
+        ("seeds", "data", 2.0),
+        ("seeds", "eval", 3.5),
+    ]
+    for row in ((block, name, as_float), (block, name, True))
+]
 
 
 def _library_accepts(block: str, name: str, value) -> bool:
@@ -206,6 +221,34 @@ def test_config_and_library_accept_the_same_values():
         ):
             mismatches.append((block, name, value, library_accepts, message))
     assert mismatches == []
+
+
+@pytest.mark.parametrize("value", [1.5, 5.0, True])
+def test_library_integer_fields_reject_floats_and_bools(value):
+    # a float seed would be truncated by the RNG key and a float batch would
+    # fail deep inside a run; each is refused up front, naming its field
+    schedule = NoiseSchedule()
+    builds = {
+        "seed": [lambda: TunerConfig(seed=value), lambda: SamplerConfig(seed=value),
+                 lambda: check_seed(value)],
+        "batch": [lambda: TunerConfig(batch=value)],
+        "coarse_grid": [lambda: TunerConfig(coarse_grid=value)],
+        "K": [lambda: make_trajectory("quadratic", value, schedule)],
+        "dim": [lambda: make_oracle("standard", schedule, dim=value)],
+    }
+    for name, makes in builds.items():
+        for make in makes:
+            with pytest.raises(DomainError, match=f"^{name}: must be an integer"):
+                make()
+
+
+def test_library_integer_fields_take_numpy_integers():
+    schedule = NoiseSchedule()
+    TunerConfig(seed=np.uint32(7), batch=np.int64(64), coarse_grid=np.int32(5))
+    SamplerConfig(seed=np.int64(3))
+    check_seed(np.uint64(2**32 - 1))
+    assert make_trajectory("quadratic", np.int16(4), schedule).K == 4
+    assert make_oracle("standard", schedule, dim=np.int64(3)).dim == 3
 
 
 @pytest.mark.parametrize("block,name,value", _NON_FINITE_ROWS)

@@ -603,19 +603,67 @@ def test_consistency_and_denoising_argmin_agree_large_batch(gmm8_model, schedule
 def test_diagnostic_curves_score_each_grid_point_once(gmm8_model, schedule, monkeypatch):
     # both curves come from one step and one prediction per grid point, and
     # equal each candidate's own evaluation against either target bitwise;
-    # the oracle work is counted in rows times conditioning times
+    # the oracle work is counted in evaluated points times conditioning
+    # times, at the one evaluation kernel every oracle call goes through
     traj = make_trajectory("quadratic", 10, schedule)
     work = []
-    real = GaussianMixtureOracle.epsilon
+    real = GaussianMixtureOracle._evaluate
 
-    def counting(model, x, t):
-        work.append(len(x) * np.size(t))
-        return real(model, x, t)
+    def counting(model, X, table, *args, **kwargs):
+        work.append(X.shape[1] * np.size(table.t))
+        return real(model, X, table, *args, **kwargs)
 
-    monkeypatch.setattr(GaussianMixtureOracle, "epsilon", counting)
+    monkeypatch.setattr(GaussianMixtureOracle, "_evaluate", counting)
     curves = diagnostic_loss_curves(4, traj, gmm8_model, batch=300, seed=2, n_grid=11)
     assert sum(work) == 300 * (1 + 2 * 11)
     loss = StepLoss(4, traj, gmm8_model, batch=300, seed=2)
     for j, g in enumerate(curves["tau_grid"]):
         assert curves["consistency"][j] == loss((g,)).value
         assert curves["denoising"][j] == _scalar_loss(loss, (g,), loss._true_noise())[0]
+
+
+def test_diagnostic_curves_report_stderrs(gmm8_model, schedule):
+    # the standard errors come from the same pass as the values
+    traj = make_trajectory("quadratic", 10, schedule)
+    curves = diagnostic_loss_curves(4, traj, gmm8_model, batch=300, seed=2, n_grid=11)
+    loss = StepLoss(4, traj, gmm8_model, batch=300, seed=2)
+    for j in (0, 5, 10):
+        g = (curves["tau_grid"][j],)
+        assert curves["consistency_stderr"][j] == _scalar_loss(loss, g)[1]
+        assert curves["denoising_stderr"][j] == _scalar_loss(loss, g, loss._true_noise())[1]
+
+
+@pytest.mark.parametrize("kind, site", [("ddim-family", 0), ("dpm-solver-2", 0), ("dpm-solver-2", 1)])
+def test_site_probes_build_scalar_tables_on_one_point_array(
+    gmm8_model, schedule, monkeypatch, kind, site
+):
+    # a golden-section probe is one candidate: it builds the scalar-time
+    # table of its time and nothing else of the time side, and the frozen
+    # state becomes the oracle's point array once per site, not per probe
+    traj = make_trajectory("quadratic", 5, schedule, t_min=schedule.t_eps)
+    held = list(baseline_tuned(traj, schedule, kind).taus_for_step(3))
+    loss = StepLoss(3, traj, gmm8_model, SamplerConfig(kind=kind), batch=300, seed=6)
+    tables, arrays = [], []
+    real_times, real_points = GaussianMixtureOracle.times, GaussianMixtureOracle._points
+
+    def times(model, t):
+        tables.append(t)
+        return real_times(model, t)
+
+    def points(model, x):
+        arrays.append(len(x))
+        return real_points(model, x)
+
+    monkeypatch.setattr(GaussianMixtureOracle, "times", times)
+    monkeypatch.setattr(GaussianMixtureOracle, "_points", points)
+    scores = loss.site(site, held)
+    del tables[:]  # the held site's table, built with the scorer
+    probes = np.linspace(traj.points[2], traj.points[3], 7)[1:6]
+    estimates = [scores(np.array([p]))[0] for p in probes]
+    monkeypatch.undo()
+    assert len(tables) == 5 and all(np.ndim(t) == 0 for t in tables), tables
+    assert len(arrays) <= (2 if (kind, site) == ("dpm-solver-2", 1) else 1)
+    for p, est in zip(probes, estimates):
+        probe = list(held)
+        probe[site] = p
+        assert est == loss(tuple(probe))
