@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from math import expm1, sqrt
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -23,11 +22,20 @@ from .errors import ContractError, DomainError, check_integer
 from .oracle import GaussianMixtureOracle
 from .rng import PURPOSE_PATHS, PURPOSE_PROJ, derive_rng
 from .samplers import SamplePath, SamplerConfig, _deterministic_part, sample_path
-from .trajectory import Trajectory, TunedTrajectory, baseline_tuned
+from .trajectory import POINT_TOL, Trajectory, TunedTrajectory, baseline_tuned
 from .tuner import _loss, _mean_stderr, _prediction_time, _sum_last
 
+# uniform steps of the dense reference
+DENSE_K = 1000
+# random projections of the sliced Wasserstein distance
+N_PROJECTIONS = 128
 # projection directions per chunk in sliced_wasserstein
 _PROJ_CHUNK = 16
+
+
+def csv_table(header: str, rows) -> str:
+    """A CSV table: the header line, then each row as ",".join(map(repr, row))."""
+    return "".join([header + "\n"] + [",".join(map(repr, row)) + "\n" for row in rows])
 
 
 @dataclass(frozen=True)
@@ -37,12 +45,7 @@ class GapReport:
     rows: list  # (step_index, t, mean_gap, stderr, n_paths)
 
     def to_csv(self) -> str:
-        lines = ["step_index,t,mean_gap,stderr,n_paths"]
-        for step_index, t, mean_gap, stderr, n_paths in self.rows:
-            lines.append(
-                f"{step_index},{t!r},{mean_gap!r},{stderr!r},{n_paths}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_table("step_index,t,mean_gap,stderr,n_paths", self.rows)
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,7 @@ def generate_paths(
 
 def _dense_points(T: float, t_min: float, m: int) -> np.ndarray:
     """The m + 1 uniform points T - (T - t_min) j / m, from T down to t_min."""
-    if not isinstance(m, Integral) or isinstance(m, bool) or m < 1:
-        raise DomainError(f"dense step count must be an integer >= 1, got {m!r}")
+    check_integer("dense_K", m, 1)
     if not t_min < T:
         raise DomainError(f"dense reference requires t_min < T, got {t_min} >= {T}")
     return t_min + (T - t_min) * np.arange(m, -1, -1) / m
@@ -89,8 +91,8 @@ def _dense_points(T: float, t_min: float, m: int) -> np.ndarray:
 def _merged_points(T: float, t_min: float, m: int, checkpoints) -> tuple:
     """(points, record): ``_dense_points`` with every checkpoint among them.
 
-    A checkpoint within 1e-9 T of a dense point (the tolerance of a tuned
-    file's trajectory) is snapped onto it; any other one becomes a point of
+    A checkpoint within ``POINT_TOL`` T of a dense point (the tolerance of a
+    tuned file's trajectory) is snapped onto it; any other one becomes a point of
     its own. record holds the indices of the checkpoints' points. The
     checkpoints must increase strictly and lie in [t_min, T], or DomainError
     is raised.
@@ -99,7 +101,7 @@ def _merged_points(T: float, t_min: float, m: int, checkpoints) -> tuple:
     c = np.asarray(checkpoints, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise DomainError(f"checkpoints: need a non-empty 1-D array of times, got shape {c.shape}")
-    on = np.abs(c[:, None] - pts) <= 1e-9 * T
+    on = np.abs(c[:, None] - pts) <= POINT_TOL * T
     c = np.where(on.any(axis=1), pts[on.argmax(axis=1)], c)
     if not (np.all(np.diff(c) > 0) and t_min <= c[0] and c[-1] <= T):
         raise DomainError(f"checkpoints: must increase strictly within [{t_min}, {T}], got {c}")
@@ -183,7 +185,7 @@ def dense_flow(
 def reference_path(
     x_T: np.ndarray,
     model: GaussianMixtureOracle,
-    dense_K: int = 1000,
+    dense_K: int = DENSE_K,
     t_min: float = 0.0,
     checkpoints: Optional[np.ndarray] = None,
 ) -> SamplePath:
@@ -289,7 +291,7 @@ def frechet_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
 def sliced_wasserstein(
     samples_a: np.ndarray,
     samples_b: np.ndarray,
-    n_projections: int = 128,
+    n_projections: int = N_PROJECTIONS,
     seed: int = 0,
 ) -> float:
     """Mean 1-D 2-Wasserstein distance over random unit projections."""
@@ -348,7 +350,7 @@ def evaluate_samples(
     generated: np.ndarray,
     data: np.ndarray,
     seed: int = 0,
-    n_projections: int = 128,
+    n_projections: int = N_PROJECTIONS,
 ) -> EvalReport:
     """Bundle of distribution metrics for generated samples against data."""
     return _evaluate_many([generated], data, seed, n_projections)[0]
@@ -411,7 +413,7 @@ def step_replacement_sweep(
         sample_path(rolled.state_at(j), base, sampler, model, start=j).states[-1].copy()
         for j in range(traj.K, -1, -1)
     ]
-    return _evaluate_many(finals, data, eval_seed, 128)
+    return _evaluate_many(finals, data, eval_seed, N_PROJECTIONS)
 
 
 def error_bound_report(
@@ -421,7 +423,7 @@ def error_bound_report(
     model: GaussianMixtureOracle,
     n_paths: int,
     seed: int = 0,
-    dense_K: int = 1000,
+    dense_K: int = DENSE_K,
 ) -> list:
     """Per-step pathwise error and the two sums that bound it.
 

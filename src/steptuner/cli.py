@@ -20,6 +20,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DENSE_K,
+    csv_table,
     draw_start_states,
     evaluate_samples,
     gap_profile,
@@ -29,10 +31,9 @@ from .analysis import (
 )
 from .config import ExperimentConfig, Seeds, load_config, read_json
 from .errors import ConfigError, ContractError, StepTunerError
-from .trajectory import baseline_tuned, tuned_from_json, tuned_to_json
+from .samplers import _check_taus
+from .trajectory import POINT_TOL, baseline_tuned, tuned_from_json, tuned_to_json
 from .tuner import tune as run_tune
-
-_DENSE_K = 1000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,19 +49,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep": "metrics as tuned times replace baseline ones step by step",
         "eval": "distribution metrics of generated samples against fresh data",
     }
+    # the commands that roll paths, with their default sample counts
     defaults_n = {"sample": 1024, "gap": 1024, "sweep": 2048, "eval": 2048}
     for name, help_text in subcommands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, help="JSON config path")
-        p.add_argument("--tuned", type=str, default=None, help="tuned-times JSON path")
         p.add_argument("--out", type=str, default=None, help="primary output path")
         p.add_argument("--seed", type=int, default=None, help="override config seeds")
         p.add_argument(
             "--workers", type=int, default=1, help="accepted for compatibility; no effect"
         )
-        p.add_argument(
-            "--n", type=int, default=defaults_n.get(name, 1024), help="sample count"
-        )
+        if name in defaults_n:
+            p.add_argument("--tuned", type=str, default=None, help="tuned-times JSON path")
+            p.add_argument("--n", type=int, default=defaults_n[name], help="sample count")
     return parser
 
 
@@ -77,7 +78,7 @@ def _load(args) -> ExperimentConfig:
         )
     if args.workers < 1:
         raise ConfigError("--workers must be a positive integer")
-    if args.n < 0:
+    if getattr(args, "n", 0) < 0:
         raise ConfigError("--n must be non-negative")
     return cfg
 
@@ -93,6 +94,7 @@ def _load_tuned(args, traj, schedule, sampler):
     path = args.tuned
     try:
         tuned = tuned_from_json(read_json(path, "tuned"))
+        _check_taus(schedule.T, *tuned.taus)
     except KeyError as exc:
         raise ConfigError(f"tuned file {path} lacks key {exc}") from exc
     except (TypeError, ValueError, StepTunerError) as exc:
@@ -104,7 +106,7 @@ def _load_tuned(args, traj, schedule, sampler):
             f"config uses {sampler.kind!r}"
         )
     if tuned.base.K != traj.K or not np.allclose(
-        tuned.base.points, traj.points, rtol=0, atol=1e-9 * schedule.T
+        tuned.base.points, traj.points, rtol=0, atol=POINT_TOL * schedule.T
     ):
         raise ContractError("tuned file trajectory does not match the config")
     return tuned, True
@@ -112,13 +114,11 @@ def _load_tuned(args, traj, schedule, sampler):
 
 def cmd_tune(args, cfg, schedule, model, traj, sampler) -> tuple:
     tuned, records = run_tune(cfg.tuner, traj, sampler, model)
-    lines = ["i,t_i,tau_i,loss_baseline,loss_tuned,stderr,boundary_flag"]
-    for r in records:
-        lines.append(
-            f"{r.step},{r.t_site!r},{r.tau!r},{r.loss_baseline!r},"
-            f"{r.loss_tuned!r},{r.stderr!r},{int(r.boundary)}"
-        )
-    csv = "\n".join(lines) + "\n"
+    csv = csv_table(
+        "i,t_i,tau_i,loss_baseline,loss_tuned,stderr,boundary_flag",
+        [(r.step, r.t_site, r.tau, r.loss_baseline, r.loss_tuned, r.stderr, int(r.boundary))
+         for r in records],
+    )
     # the search's telemetry goes to the sidecar, so the CSV stays as it was
     sites = [
         {"step": r.step, "t_site": r.t_site, "fell_back": r.fell_back, "n_evals": r.n_evals}
@@ -143,7 +143,7 @@ def cmd_gap(args, cfg, schedule, model, traj, sampler) -> tuple:
     x_T = draw_start_states(model, args.n, cfg.seeds.sample)
     coarse = generate_paths(x_T, tuned, sampler, model)
     reference = reference_path(
-        x_T, model, _DENSE_K, t_min=float(traj.points[0]),
+        x_T, model, DENSE_K, t_min=float(traj.points[0]),
         checkpoints=coarse.trajectory_points,
     )
     return [gap_profile(coarse, reference).to_csv()], {}
@@ -158,8 +158,8 @@ def cmd_sweep(args, cfg, schedule, model, traj, sampler) -> tuple:
     reports = step_replacement_sweep(
         traj, tuned, sampler, model, args.n, seeds.sample, seeds.data, seeds.eval
     )
-    rows = [f"{m},{r.frechet!r},{r.sliced_wasserstein!r}" for m, r in enumerate(reports)]
-    return ["\n".join(["m,fd,swd"] + rows) + "\n"], {}
+    rows = [(m, r.frechet, r.sliced_wasserstein) for m, r in enumerate(reports)]
+    return [csv_table("m,fd,swd", rows)], {}
 
 
 def cmd_eval(args, cfg, schedule, model, traj, sampler) -> tuple:
@@ -211,11 +211,9 @@ def _run(args) -> int:
         "version": __version__,
         "command": args.command,
         "config": cfg.to_dict(),
+        # the flags other than the config and the output paths
         "overrides": {
-            "seed": args.seed,
-            "n": args.n,
-            "workers": args.workers,
-            "tuned": args.tuned,
+            k: v for k, v in vars(args).items() if k not in ("command", "config", "out")
         },
         "outputs": [str(p) for p in paths],
         **report,

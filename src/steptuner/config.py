@@ -26,19 +26,6 @@ from .tuner import TunerConfig
 
 
 @dataclass(frozen=True)
-class ScheduleBlock:
-    kind: str = "linear-vp"
-    beta_min: float = 1e-4
-    beta_max: float = 0.02
-    T: float = 1000.0
-
-    def build(self) -> NoiseSchedule:
-        return NoiseSchedule(
-            beta_min=self.beta_min, beta_max=self.beta_max, T=self.T, kind=self.kind
-        )
-
-
-@dataclass(frozen=True)
 class OracleBlock:
     preset: str = "gmm8"
     dim: int = 2  # used by the "standard" preset
@@ -83,7 +70,7 @@ class Seeds:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    schedule: ScheduleBlock = field(default_factory=ScheduleBlock)
+    schedule: NoiseSchedule = field(default_factory=NoiseSchedule)
     oracle: OracleBlock = field(default_factory=OracleBlock)
     trajectory: TrajectoryBlock = field(default_factory=TrajectoryBlock)
     sampler: SamplerBlock = field(default_factory=SamplerBlock)
@@ -103,7 +90,7 @@ class ExperimentConfig:
         A library DomainError is re-raised as a ConfigError at the dotted
         path of the block that raised it.
         """
-        schedule = _build("schedule", self.schedule.build)
+        schedule = self.schedule  # parsed as the library object, so already checked
         model = _build("oracle", self.oracle.build, schedule)
         traj = _build("trajectory", self.trajectory.build, schedule)
         sampler = _build(

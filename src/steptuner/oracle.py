@@ -314,8 +314,7 @@ class GaussianMixtureOracle:
         j does not depend on n. Returns (x0 of shape (n, D), normals of
         shape (extra, n, D)).
         """
-        if n < 0:
-            raise DomainError(f"sample count must be >= 0, got {n}")
+        check_integer("n", n, 0)
         D = self.dim
         cdf = np.cumsum(self.weights)
         x0 = np.empty((n, D))

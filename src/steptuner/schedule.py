@@ -54,6 +54,11 @@ class NoiseSchedule:
         if not (0 < self.T < np.inf):
             raise DomainError(f"T: must be positive and finite, got {self.T}")
 
+    def build(self) -> NoiseSchedule:
+        """The schedule itself, for callers that build a config's blocks in
+        turn (``cfg.schedule.build()``, then ``cfg.oracle.build(schedule)``)."""
+        return self
+
     @property
     def t_eps(self) -> float:
         return T_EPS_FRACTION * self.T

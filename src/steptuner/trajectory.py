@@ -15,6 +15,11 @@ import numpy as np
 from .errors import ContractError, DomainError, check_integer
 from .schedule import NoiseSchedule
 
+# a time within POINT_TOL * T of a trajectory point counts as that point:
+# a tuned file's trajectory must match the config's, and a gap checkpoint
+# snaps onto a dense point, within it
+POINT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Trajectory:

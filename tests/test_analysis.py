@@ -107,7 +107,7 @@ def test_reference_path_repeatable(gmm8_model):
     b = reference_path(x, gmm8_model, dense_K=200)
     assert np.array_equal(a.states, b.states)
     for m in (0, 2.5, True):
-        with pytest.raises(DomainError, match="dense step count must be an integer >= 1"):
+        with pytest.raises(DomainError, match="^dense_K: must be an integer >= 1"):
             reference_path(x, gmm8_model, dense_K=m)
     assert np.array_equal(reference_path(x, gmm8_model, dense_K=np.int64(200)).states, a.states)
 

@@ -93,7 +93,8 @@ def test_config_cross_field_check_for_two_evaluation_solver():
 def test_preset_configs_build():
     for path in CONFIG_FILES:
         cfg = load_config(path)
-        sched = cfg.schedule.build()
+        sched = cfg.schedule  # the parsed NoiseSchedule itself
+        assert isinstance(sched, NoiseSchedule) and sched.build() is sched
         model = cfg.oracle.build(sched)
         traj = cfg.trajectory.build(sched)
         assert traj.K >= 1
@@ -408,6 +409,29 @@ def test_cli_gap_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_csv_fields_are_plain_numbers(tmp_path, capsys):
+    # every field of the headed tables is a repr of a Python int or float:
+    # under numpy 2 the repr of a numpy scalar reads "np.float64(...)"
+    cfg = _small_cfg(tmp_path)
+    tuned = tmp_path / "tuned.json"
+    gap, sweep = tmp_path / "gap.csv", tmp_path / "sweep.csv"
+    for argv in (
+        ["tune", "--config", cfg, "--out", str(tuned)],
+        ["gap", "--config", cfg, "--tuned", str(tuned), "--n", "16", "--out", str(gap)],
+        ["sweep", "--config", cfg, "--tuned", str(tuned), "--n", "16", "--out", str(sweep)],
+    ):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    for path, width in ((tuned.with_suffix(".csv"), 7), (gap, 5), (sweep, 3)):
+        header, *rows = path.read_text().splitlines()
+        assert len(header.split(",")) == width and rows, path.name
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == width and "np." not in row, row
+            for f in fields:
+                assert repr(int(f) if f.lstrip("-").isdigit() else float(f)) == f, row
+
+
 def test_cli_sweep_requires_tuned_and_writes_rows(tmp_path, capsys):
     # seeds.data is not seeds.sample + 1, so the sweep must read all three
     cfg = _small_cfg(tmp_path, seeds={"sample": 3, "data": 7, "eval": 11})
@@ -542,15 +566,36 @@ def test_cli_malformed_tuned_file_exits_2(tmp_path, capsys):
         dict(doc, trajectory=dict(doc["trajectory"], points=doc["trajectory"]["points"][::-1])),
         dict(doc, pairs=[dict(doc["pairs"][0], tau=doc["bounds"][0][1] + 1.0)] + doc["pairs"][1:]),
     ] + [
-        # without bounds a tau is checked against no interval, only its own rule
+        # without bounds a tau is checked against no interval, only its own
+        # rule and the sampler's (0, T]
         dict(doc, bounds=[], pairs=[dict(doc["pairs"][0], tau=tau)] + doc["pairs"][1:])
-        for tau in (0.0, -5.0, float("nan"), float("inf"))
+        for tau in (0.0, -5.0, float("nan"), float("inf"), 1500.0)
     ]
     for malformed in wrong_values:
         bad.write_text(json.dumps(malformed))
         assert cli.main(["sample", "--config", cfg, "--tuned", str(bad), "--n", "4"]) == 2
         err = capsys.readouterr().err
         assert "bad_tuned.json" in err and "Traceback" not in err, err
+
+
+def test_cli_tune_takes_no_tuned_or_n(tmp_path, capsys):
+    # tune neither reads a tuned file nor draws --n paths, so it refuses both
+    # flags, and its sidecar echoes only the overrides it takes
+    cfg = _small_cfg(tmp_path)
+    for extra in (["--n", "5"], ["--tuned", str(tmp_path / "missing.json")]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tune", "--config", cfg] + extra)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    out = tmp_path / "tuned.json"
+    assert cli.main(["tune", "--config", cfg, "--out", str(out), "--workers", "2"]) == 0
+    meta = json.loads((tmp_path / "tuned.json.meta.json").read_text())
+    assert meta["overrides"] == {"seed": None, "workers": 2}
+    sample = tmp_path / "s.csv"
+    assert cli.main(["sample", "--config", cfg, "--n", "4", "--out", str(sample)]) == 0
+    meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+    assert meta["overrides"] == {"seed": None, "n": 4, "workers": 1, "tuned": None}
+    capsys.readouterr()
 
 
 def test_cli_unreadable_config_or_tuned_file_exits_2(tmp_path, capsys):

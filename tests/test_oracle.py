@@ -12,9 +12,14 @@ from steptuner import (
     DomainError,
     GaussianMixtureOracle,
     NoiseSchedule,
+    SamplerConfig,
+    baseline_tuned,
+    draw_start_states,
+    error_bound_report,
     gmm8,
     make_trajectory,
     standard_gaussian,
+    step_replacement_sweep,
 )
 from steptuner.analysis import _dense_points, _merged_points
 from steptuner import oracle as oracle_module
@@ -450,6 +455,23 @@ def test_draw_replays_frozen_row_order(gmm8_model):
     for key in [(0, 1), (0, 1, 0, 0), (2**32, 1, 0), (0, 1, -1)]:
         with pytest.raises(DomainError):
             gmm8_model.draw(1, key)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True])
+def test_draw_counts_must_be_integers(gmm8_model, schedule, n):
+    # a float or bool count is refused, naming it, on every path to draw
+    traj = make_trajectory("quadratic", 3, schedule)
+    base = baseline_tuned(traj, schedule)
+    for call in (
+        lambda: gmm8_model.draw(n, (0, 1, 0)),
+        lambda: gmm8_model.sample_data(n, 0),
+        lambda: draw_start_states(gmm8_model, n, 0),
+        lambda: step_replacement_sweep(traj, base, SamplerConfig(), gmm8_model, n),
+        lambda: error_bound_report(traj, None, SamplerConfig(), gmm8_model, n),
+    ):
+        with pytest.raises(DomainError, match="^n: must be an integer >= 0"):
+            call()
+    assert np.array_equal(gmm8_model.draw(np.int64(3), (0, 1, 0))[0], gmm8_model.draw(3, (0, 1, 0))[0])
 
 
 def test_validation_errors(schedule):
