@@ -140,9 +140,9 @@ def dense_flow(
     The state lives point-major, in the (D, n) point rows of the oracle's
     point array of x, for all m steps: each step evaluates that array at
     its row of the table, then applies the step and the correction to
-    those rows in place. The logits, the moments and two eps buffers, the
-    current prediction and the previous one, are allocated once and
-    reused; only the kept states are transposed back to (n, D).
+    those rows in place. Two eps buffers, the current prediction and the
+    previous one, are allocated once and reused; only the kept states are
+    transposed back to (n, D).
     """
     sched = model.schedule
     pts = np.asarray(points, dtype=float)
@@ -163,11 +163,10 @@ def dense_flow(
     second = pts >= sched.t_eps  # where log-SNR is finite
     lam = np.zeros_like(pts)
     lam[second] = sched.log_snr(pts[second])
-    g, M = np.empty((len(model.weights), N)), np.empty((D + 2, N))
     eps, spare = np.empty((2, D, N))
     eps_prev = h_prev = None
     for j in range(1, m + 1):
-        model._evaluate(X, table, j - 1, out=eps, g=g, M=M)
+        model._evaluate(X, table, j - 1, out=eps)
         _deterministic_part(state, alpha[j - 1], sigma[j - 1], alpha[j], sigma[j], eps, out=state)
         if second[j]:
             h = lam[j] - lam[j - 1]

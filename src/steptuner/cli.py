@@ -254,8 +254,10 @@ def _keep_freed_heap() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error, or --help
+        return exc.code
     try:
         return _run(args)
     except StepTunerError as exc:

@@ -186,8 +186,8 @@ class GaussianMixtureOracle:
             raise DomainError("t: a table built by another oracle")
         return table
 
-    def _logits(self, X: np.ndarray, C: np.ndarray, g=None) -> tuple:
-        """(g, r2): the (..., k, n) logits C[..., :D + 2] @ X, written to g if given.
+    def _logits(self, X: np.ndarray, C: np.ndarray) -> tuple:
+        """(g, r2): the (..., k, n) logits C[..., :D + 2] @ X, as a new array.
 
         The last row of X is filled from its point rows first. The arrays
         are component-major, so reductions over components run along
@@ -204,7 +204,7 @@ class GaussianMixtureOracle:
             if np.all(np.isfinite(x)):
                 raise DomainError("oracle evaluated at a point whose squared norm overflows")
             raise DomainError("oracle evaluated at non-finite point")
-        return np.matmul(C[..., : D + 2], X, out=g), r2
+        return np.matmul(C[..., : D + 2], X), r2
 
     @staticmethod
     def _exp_shifted(g: np.ndarray, floor: bool = False) -> np.ndarray:
@@ -234,7 +234,7 @@ class GaussianMixtureOracle:
             out = out[..., 0]
         return float(out) if out.ndim == 0 else out
 
-    def _evaluate(self, X, table, j=None, times_sigma=True, out=None, g=None, M=None):
+    def _evaluate(self, X, table, j=None, times_sigma=True, out=None):
         """-sigma times the score (the score without times_sigma) at the points X, as (..., D, n).
 
         The one evaluation path of ``epsilon`` and ``score``: X is a point
@@ -252,20 +252,21 @@ class GaussianMixtureOracle:
         taken never changes a row: a row with a logit below the floor takes
         it in every batch.
 
-        A caller that evaluates one batch at many times passes its own
-        (k, n) logits g, (D + 2, n) moments M and (D, n) result out, which
-        are overwritten; without out the result is written through the
-        transposed view of a new C-contiguous (..., n, D) array, since
-        returning a transposed view itself slows every elementwise consumer.
+        The kernel allocates its (..., k, n) logits and (..., D + 2, n)
+        moments itself. A caller that evaluates one batch at many times
+        passes its own (..., D, n) result out, which is overwritten; without
+        out the result is written through the transposed view of a new
+        C-contiguous (..., n, D) array, since returning a transposed view
+        itself slows every elementwise consumer.
         """
         if j is None:
             C, sigma, safe_r2 = table.C, table.sigma, table.safe_r2
         else:
             C, sigma, safe_r2 = table.C[j], table.sigma[j, 0], table.row_safe_r2[j]
         D = self.dim
-        g, r2 = self._logits(X, C, g)
+        g, r2 = self._logits(X, C)
         self._exp_shifted(g, floor=r2 > safe_r2)
-        M = np.matmul(C[..., 1:].swapaxes(-1, -2), g, out=M)
+        M = np.matmul(C[..., 1:].swapaxes(-1, -2), g)
         del g  # free the (k, n) array before the (D, n) temporaries
         s = M[..., :D, :]
         s -= X[1 : D + 1] * M[..., D : D + 1, :]
@@ -315,6 +316,7 @@ class GaussianMixtureOracle:
         shape (extra, n, D)).
         """
         check_integer("n", n, 0)
+        check_integer("extra", extra, 0)
         D = self.dim
         cdf = np.cumsum(self.weights)
         x0 = np.empty((n, D))

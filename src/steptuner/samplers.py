@@ -21,9 +21,9 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .oracle import GaussianMixtureOracle
 from .rng import PURPOSE_PATHS, check_seed, per_sample_map
-from .trajectory import TunedTrajectory, evaluations_per_step, midpoint_time
+from .trajectory import EVALUATIONS_PER_STEP, TunedTrajectory, evaluations_per_step, midpoint_time
 
-SAMPLER_KINDS = ("ddim-family", "dpm-solver-2")
+SAMPLER_KINDS = tuple(EVALUATIONS_PER_STEP)
 
 
 @dataclass(frozen=True)

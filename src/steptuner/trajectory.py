@@ -20,6 +20,9 @@ from .schedule import NoiseSchedule
 # snaps onto a dense point, within it
 POINT_TOL = 1e-9
 
+# the sampler kinds and the model evaluations each takes per step
+EVALUATIONS_PER_STEP = {"ddim-family": 1, "dpm-solver-2": 2}
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -72,11 +75,10 @@ class TunedTrajectory:
 
 
 def evaluations_per_step(sampler_kind: str) -> int:
-    if sampler_kind == "ddim-family":
-        return 1
-    if sampler_kind == "dpm-solver-2":
-        return 2
-    raise DomainError(f"unknown sampler kind: {sampler_kind!r}")
+    try:
+        return EVALUATIONS_PER_STEP[sampler_kind]
+    except KeyError:
+        raise DomainError(f"unknown sampler kind: {sampler_kind!r}") from None
 
 
 def baseline_tuned(

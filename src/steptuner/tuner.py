@@ -25,14 +25,15 @@ Every candidate is scored by one path, the site scorer that
 frozen state as the oracle's point-major array X = [1; x^T; -||x||^2 / 2]
 (see ``oracle``), built once, and one workspace per pass width G that every
 pass of that width writes over: the (D + 2, G n) point array of the G
-stepped states and the oracle's output, logits and moments. A pass costs
-the candidates' time table, the oracle evaluations of the step (X at the
-G times at once) and of the prediction (the G n stepped points at one
-time), the step formula written in place into the stepped point rows, and
-the loss reduction; nothing is transposed, re-validated or allocated per
-candidate. The coarse grid goes through in passes of at most
-``_PASS_ROWS`` = 8192 rows (max(1, 8192 // batch) candidates), which bounds
-the workspace. Each golden-section probe is a pass of one candidate, and
+stepped states and the oracle's output. A pass costs the candidates' time
+table, the oracle evaluations of the step (X at the G times at once) and
+of the prediction (the G n stepped points at one time), the step formula
+written in place into the stepped point rows, and the loss reduction;
+nothing is transposed or re-validated per candidate, and only the oracle
+kernel's own logits and moments are allocated per evaluation. The coarse
+grid goes through in passes of at most ``_PASS_ROWS`` = 8192 rows
+(max(1, 8192 // batch) candidates), which bounds the workspace and those
+temporaries. Each golden-section probe is a pass of one candidate, and
 its table is the oracle's scalar-time one, which is cheaper to build than
 a one-element array's and gives the same bits. So a probe costs its table
 and the arithmetic of its rows; a fresh ``epsilon`` call per stage would
@@ -177,37 +178,32 @@ class _Workspace(NamedTuple):
     """The buffers of one pass width G of a site scorer, over N point columns.
 
     Y is the (D + 2, G N) point array of the G stepped states, its point
-    rows viewed as y, (G, D, N). One output, one logits and one moments
-    buffer serve every oracle evaluation of a pass, as the keyword
-    arguments of ``_evaluate``: ``at_cands`` for an N-column point array at
-    the candidates' table, ``at_one`` for Y at one time, whose output is
-    also viewed as pred, (G, D, N).
+    rows viewed as y, (G, D, N). One output buffer serves every oracle
+    evaluation of a pass, as the out of ``_evaluate``: viewed as at_cands,
+    (G, D, N), for an N-column point array at the candidates' table, and
+    as at_one, (D, G N), for Y at one time, whose output is also viewed as
+    pred, (G, D, N). The oracle kernel allocates its own logits and moments.
     """
 
     Y: np.ndarray
     y: np.ndarray
-    at_cands: dict
-    at_one: dict
+    at_cands: np.ndarray
+    at_one: np.ndarray
     pred: np.ndarray
 
 
 def _workspace(model: GaussianMixtureOracle, G: int, N: int) -> _Workspace:
-    D, k = model.dim, len(model.weights)
+    D = model.dim
     Y = np.empty((D + 2, G * N))
     Y[0] = 1.0
-    eps, g, M = np.empty(D * G * N), np.empty(k * G * N), np.empty((D + 2) * G * N)
-
-    def buffers(lead: tuple, cols: int) -> dict:
-        parts = (("out", eps, D), ("g", g, k), ("M", M, D + 2))
-        return {name: buf.reshape(lead + (rows, cols)) for name, buf, rows in parts}
+    at_one = np.empty((D, G * N))
 
     def by_point(rows: np.ndarray) -> np.ndarray:
         return rows.reshape(D, G, N).swapaxes(0, 1)
 
     # a one-candidate pass evaluates at a scalar-time table, without the G axis
-    lead = (G,) if G > 1 else ()
-    return _Workspace(Y, by_point(Y[1 : D + 1]), buffers(lead, N), buffers((), G * N),
-                      by_point(eps.reshape(D, G * N)))
+    at_cands = at_one.reshape(((G,) if G > 1 else ()) + (D, N))
+    return _Workspace(Y, by_point(Y[1 : D + 1]), at_cands, at_one, by_point(at_one))
 
 
 class _SiteScorer:
@@ -256,18 +252,18 @@ class _SiteScorer:
             ws = self.spaces[G] = _workspace(model, G, self.src.shape[1])
         y = ws.y
         table = model.times(float(chunk[0]) if G == 1 else chunk)
-        eps = model._evaluate(self.src, table, **ws.at_cands)
+        eps = model._evaluate(self.src, table, out=ws.at_cands)
         if self.eta_family:
             _deterministic_part(x, c.a_from, c.s_from, c.a_to, self.s_to_eff, eps, out=y)
             if self.noise is not None:
                 y += self.noise
         elif self.held is not None:
             _midpoint_state(x, c, eps, out=y)
-            model._evaluate(ws.Y, self.held, **ws.at_one)
+            model._evaluate(ws.Y, self.held, out=ws.at_one)
             _midpoint_update(x, c, ws.pred, out=y)
         else:
             _midpoint_update(x, c, eps, out=y)
-        model._evaluate(ws.Y, self.loss.t_pred, **ws.at_one)
+        model._evaluate(ws.Y, self.loss.t_pred, out=ws.at_one)
         pred = ws.pred[..., : self.n]
         return [_loss(pred, target) for target in self.targets]
 

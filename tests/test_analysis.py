@@ -126,7 +126,7 @@ def test_dense_flow_rejects_an_interval_that_does_not_run_down(gmm8_model, sched
 @pytest.mark.parametrize("preset", ["gmm8", "standard"])
 @pytest.mark.parametrize("t_from, t_to, m", [(1e3, 0.0, 40), (1e3, 1.0, 40), (3.0, 0.0, 12)])
 def test_dense_flow_equals_per_step_epsilon_loop(schedule, preset, t_from, t_to, m):
-    # the point-major rollout on reused buffers is the loop of one epsilon
+    # the point-major rollout on reused eps buffers is the loop of one epsilon
     # call per step, bit for bit; t_to = 0 crosses t_eps, and the short
     # interval ends with several first-order steps
     model = make_oracle(preset, schedule)

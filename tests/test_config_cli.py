@@ -583,9 +583,7 @@ def test_cli_tune_takes_no_tuned_or_n(tmp_path, capsys):
     # flags, and its sidecar echoes only the overrides it takes
     cfg = _small_cfg(tmp_path)
     for extra in (["--n", "5"], ["--tuned", str(tmp_path / "missing.json")]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["tune", "--config", cfg] + extra)
-        assert exc.value.code == 2
+        assert cli.main(["tune", "--config", cfg] + extra) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
     out = tmp_path / "tuned.json"
     assert cli.main(["tune", "--config", cfg, "--out", str(out), "--workers", "2"]) == 0
@@ -596,6 +594,17 @@ def test_cli_tune_takes_no_tuned_or_n(tmp_path, capsys):
     meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
     assert meta["overrides"] == {"seed": None, "n": 4, "workers": 1, "tuned": None}
     capsys.readouterr()
+
+
+def test_cli_usage_errors_return_their_exit_code(capsys):
+    # argparse's exit is returned as main's code, not raised
+    assert cli.main(["tune", "--seed", "x"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert cli.main([]) == 2
+    capsys.readouterr()
+    for argv in (["--help"], ["gap", "--help"]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: steptuner")
 
 
 def test_cli_unreadable_config_or_tuned_file_exits_2(tmp_path, capsys):

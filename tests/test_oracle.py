@@ -166,6 +166,25 @@ _MULTI_MODELS = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(_MULTI_MODELS))
+@pytest.mark.parametrize("n, t", [(1, 250.0), (300, 250.0), (300, [0.0, 250.0, 1000.0])])
+def test_predictions_are_row_major(schedule, name, n, t):
+    # epsilon and score return C-contiguous (..., n, D) arrays, which every
+    # elementwise consumer reads fastest; _evaluate writes into the out it is
+    # given and returns that array itself
+    model = _MULTI_MODELS[name](schedule)
+    x = np.random.default_rng(n).standard_normal((n, model.dim))
+    for method in (model.epsilon, model.score):
+        out = method(x, t)
+        assert out.shape == np.shape(t) + (n, model.dim)
+        assert out.flags.c_contiguous
+    X, _ = model._points(x)
+    table = model.times(t)
+    buf = np.empty(np.shape(t) + (model.dim, X.shape[1]))
+    assert model._evaluate(X, table, out=buf) is buf
+    assert np.array_equal(buf.swapaxes(-1, -2)[..., :n, :], model.epsilon(x, t))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(_MULTI_MODELS)),
@@ -472,6 +491,14 @@ def test_draw_counts_must_be_integers(gmm8_model, schedule, n):
         with pytest.raises(DomainError, match="^n: must be an integer >= 0"):
             call()
     assert np.array_equal(gmm8_model.draw(np.int64(3), (0, 1, 0))[0], gmm8_model.draw(3, (0, 1, 0))[0])
+
+
+@pytest.mark.parametrize("extra", [1.5, True, -1])
+def test_draw_extra_must_be_an_integer(gmm8_model, extra):
+    # the count of extra normals is checked as the row count is
+    with pytest.raises(DomainError, match="^extra: must be an integer >= 0"):
+        gmm8_model.draw(3, (0, 1, 0), extra=extra)
+    assert gmm8_model.draw(3, (0, 1, 0), extra=np.int64(2))[1].shape == (2, 3, 2)
 
 
 def test_validation_errors(schedule):
