@@ -10,8 +10,9 @@ missing), with paths relative to DIR so that the ``.meta.json`` sidecars
 do not depend on where DIR is. It covers every subcommand on the three
 shipped configs, the stochastic (eta 0.7) sampler on the benchmark's tuned
 fixture, the tuner's other branches (wide bounds, the parallel strategy, a
-step that falls back to its untuned time) and a gap whose checkpoints are
-off the dense grid: 81 files. It then prints ``sha256  path`` for each
+step that falls back to its untuned time, a batch of one row), one-row
+``sample`` and ``gap`` runs, and a gap whose checkpoints are off the dense
+grid: 99 files. It then prints ``sha256  path`` for each
 output, sorted by path. A refactor that should not change any number is
 checked by running it with both commits into two directories and comparing
 the lists.
@@ -43,6 +44,7 @@ VARIANTS = {
     "wide": {"bounds": "wide"},  # the grid misses the untuned time
     "parallel": {"strategy": "parallel"},
     "fallback": {"batch": 512, "coarse_grid": 17, "seed": 1},
+    "one": {"batch": 1},  # one-point point arrays in every site search
 }
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -74,6 +76,8 @@ def commands() -> list:
             ["sweep", *cfg, "--n", "2048", *tuned, "--out", f"{o}/sweep.csv"],
             ["eval", *cfg, "--n", "4096", *tuned, "--out", f"{o}/eval_tuned.json"],
             ["eval", *cfg, "--n", "3001", "--out", f"{o}/eval_base.json"],
+            ["sample", *cfg, "--n", "1", "--out", f"{o}/sample_one.csv"],
+            ["gap", *cfg, "--n", "1", "--out", f"{o}/gap_one.csv"],
         ]
     eta, fixture = ["--config", ETA07], ["--tuned", FIXTURE]
     cmds += [

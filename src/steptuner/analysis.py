@@ -140,9 +140,11 @@ def dense_flow(
     The state lives point-major, in the (D, n) point rows of the oracle's
     point array of x, for all m steps: each step evaluates that array at
     its row of the table, then applies the step and the correction to
-    those rows in place. Two eps buffers, the current prediction and the
-    previous one, are allocated once and reused; only the kept states are
-    transposed back to (n, D).
+    those rows in place. Two (D, n) eps buffers, the current prediction
+    and the previous one, are allocated once and reused; only the kept
+    states are transposed back to (n, D). A one-row x is one column here
+    too: how numpy rounds a single column is the oracle kernel's concern,
+    so each row's states equal those of the batch bitwise.
     """
     sched = model.schedule
     pts = np.asarray(points, dtype=float)
@@ -152,18 +154,16 @@ def dense_flow(
     if record is not None and (bad := np.setdiff1d(record, np.arange(m + 1))).size:
         raise DomainError(f"record: index {bad[0]} is not an integer in [0, {m}]")
     keep = np.full(m + 1, True) if record is None else np.isin(np.arange(m + 1), record)
-    X, n = model._points(x)
-    state = X[1 : model.dim + 1]
-    D, N = state.shape
-    states, slot = np.empty((int(keep.sum()), n, D)), np.cumsum(keep) - 1
+    X, state = model._points(x)
+    states, slot = np.empty((int(keep.sum()),) + state.shape[::-1]), np.cumsum(keep) - 1
     if keep[0]:
-        states[0] = state[:, :n].T
+        states[0] = state.T
     alpha, sigma = sched.alpha_sigma(pts)
     table = model.times(pts)
     second = pts >= sched.t_eps  # where log-SNR is finite
     lam = np.zeros_like(pts)
     lam[second] = sched.log_snr(pts[second])
-    eps, spare = np.empty((2, D, N))
+    eps, spare = np.empty((2,) + state.shape)
     eps_prev = h_prev = None
     for j in range(1, m + 1):
         model._evaluate(X, table, j - 1, out=eps)
@@ -177,7 +177,7 @@ def dense_flow(
             eps_prev, h_prev = eps, h
             eps, spare = spare, eps
         if keep[j]:
-            states[slot[j]] = state[:, :n].T
+            states[slot[j]] = state.T
     return states
 
 

@@ -161,23 +161,26 @@ class GaussianMixtureOracle:
         return OracleTimes(self, t, C, sigma, safe)
 
     def _points(self, x) -> tuple:
-        """(X, n): the (D + 2, n) point array of an (n, D) batch and its row count n.
+        """(X, x): the (D + 2, n) point array of an (n, D) batch and its (D, n) point rows.
 
         X = [1; x^T; -||x||^2 / 2] is point-major: rows 1..D hold the points,
-        one per column (see ``times``). ``_logits`` fills the last row from
-        them at every evaluation, so a caller may move the points in place
-        between evaluations. A one-row x is held as that row twice, because
-        numpy's matrix-vector kernel rounds differently from its
-        matrix-matrix one.
+        one per column (see ``times``), and the returned rows are a view of
+        them. ``_logits`` fills the last row from them at every evaluation,
+        so a caller may move the points in place between evaluations.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DomainError(f"oracle needs points of shape (n, {self.dim}), got {x.shape}")
-        n, D = x.shape
-        X = np.empty((D + 2, 2 if n == 1 else n))
+        X, rows = self._point_array(len(x))
+        rows[...] = x.T
+        return X, rows
+
+    def _point_array(self, n: int) -> tuple:
+        """(X, x): an empty (D + 2, n) point array, its constant row set, and
+        its (D, n) point rows as a view, for a caller to fill with points."""
+        X = np.empty((self.dim + 2, n))
         X[0] = 1.0
-        X[1 : D + 1] = x.T
-        return X, n
+        return X, X[1 : self.dim + 1]
 
     def _table(self, t) -> OracleTimes:
         """t as a table of ``times``; a table built by another oracle is rejected."""
@@ -194,8 +197,19 @@ class GaussianMixtureOracle:
         contiguous rows. r2 is the largest squared norm of a point; it is
         finite exactly when every coordinate is finite and no squared norm
         overflows, which is the check of the points.
+
+        numpy's matrix-vector kernel rounds unlike its matrix-matrix one,
+        which would make a row's result depend on its batch. So a one-point
+        X is evaluated as a copy holding that point twice, made before its
+        norm row is filled (``einsum`` sums one contiguous column in another
+        order too); g then has two equal columns, and each caller keeps the
+        first column of what it derives from g. A one-component C is likewise
+        taken as that component twice, and g keeps the first row of the
+        product.
         """
         D = self.dim
+        if X.shape[1] == 1:
+            X = np.repeat(X, 2, axis=1)
         x = X[1 : D + 1]
         np.einsum("dn,dn->n", x, x, out=X[D + 1])
         X[D + 1] *= -0.5
@@ -204,7 +218,10 @@ class GaussianMixtureOracle:
             if np.all(np.isfinite(x)):
                 raise DomainError("oracle evaluated at a point whose squared norm overflows")
             raise DomainError("oracle evaluated at non-finite point")
-        return np.matmul(C[..., : D + 2], X), r2
+        A = C[..., : D + 2]
+        if A.shape[-2] == 1:
+            return np.matmul(np.repeat(A, 2, axis=-2), X)[..., :1, :], r2
+        return np.matmul(A, X), r2
 
     @staticmethod
     def _exp_shifted(g: np.ndarray, floor: bool = False) -> np.ndarray:
@@ -219,17 +236,17 @@ class GaussianMixtureOracle:
 
     def responsibilities(self, x: np.ndarray, t) -> np.ndarray:
         """(n, k) posterior component probabilities, stable in log space."""
-        X, n = self._points(x)
+        X, _ = self._points(x)
         g, _ = self._logits(X, self._table(t).C)
         self._exp_shifted(g)
         g /= g.sum(axis=-2)[..., None, :]
-        return g[..., :n].swapaxes(-1, -2)
+        return g[..., : X.shape[1]].swapaxes(-1, -2)
 
     def log_density(self, x: np.ndarray, t) -> np.ndarray:
         """log q_t(x) via log-sum-exp over components."""
-        X, n = self._points(x)
+        X, _ = self._points(x)
         g, _ = self._logits(X, self._table(t).C)
-        out = (self._exp_shifted(g) + np.log(g.sum(axis=-2)))[..., :n]
+        out = (self._exp_shifted(g) + np.log(g.sum(axis=-2)))[..., : X.shape[1]]
         if np.asarray(x).ndim == 1:
             out = out[..., 0]
         return float(out) if out.ndim == 0 else out
@@ -238,12 +255,12 @@ class GaussianMixtureOracle:
         """-sigma times the score (the score without times_sigma) at the points X, as (..., D, n).
 
         The one evaluation path of ``epsilon`` and ``score``: X is a point
-        array of ``_points``, evaluated at row j of table, or at all of it
-        when j is None. M = B^T @ exp(g - max g) stacks sum_k g_k alpha mu_k
-        / v_k, sum_k g_k / v_k and sum_k g_k, so the score sum_k r_k (alpha
-        mu_k - x) / v_k for responsibilities r = g / sum_k g_k is (M[:D] - x^T
-        M[D]) / M[D + 1]: the (k, n) array is never divided, only the (D, n)
-        result, once.
+        array of ``_points`` or ``_point_array``, evaluated at row j of
+        table, or at all of it when j is None. M = B^T @ exp(g - max g)
+        stacks sum_k g_k alpha mu_k / v_k, sum_k g_k / v_k and sum_k g_k, so
+        the score sum_k r_k (alpha mu_k - x) / v_k for responsibilities r =
+        g / sum_k g_k is (M[:D] - x^T M[D]) / M[D + 1]: the (k, n) array is
+        never divided, only the (D, n) result, once.
 
         The shifted logits are floored at ``_EXP_FLOOR`` when the table's
         bound says a point could fall below it. A floored component's weight
@@ -253,21 +270,24 @@ class GaussianMixtureOracle:
         it in every batch.
 
         The kernel allocates its (..., k, n) logits and (..., D + 2, n)
-        moments itself. A caller that evaluates one batch at many times
-        passes its own (..., D, n) result out, which is overwritten; without
-        out the result is written through the transposed view of a new
-        C-contiguous (..., n, D) array, since returning a transposed view
-        itself slows every elementwise consumer.
+        moments itself; for one point they hold two equal columns (see
+        ``_logits``), and only the first is used past M. A caller that
+        evaluates one batch at many times passes its own (..., D, n) result
+        out, which is overwritten; without out the result is written through
+        the transposed view of a new C-contiguous (..., n, D) array, since
+        returning a transposed view itself slows every elementwise consumer.
         """
         if j is None:
             C, sigma, safe_r2 = table.C, table.sigma, table.safe_r2
         else:
             C, sigma, safe_r2 = table.C[j], table.sigma[j, 0], table.row_safe_r2[j]
-        D = self.dim
+        D, n = self.dim, X.shape[1]
         g, r2 = self._logits(X, C)
         self._exp_shifted(g, floor=r2 > safe_r2)
         M = np.matmul(C[..., 1:].swapaxes(-1, -2), g)
         del g  # free the (k, n) array before the (D, n) temporaries
+        if M.shape[-1] != n:  # one point, evaluated as two by _logits
+            M = M[..., :n]
         s = M[..., :D, :]
         s -= X[1 : D + 1] * M[..., D : D + 1, :]
         scale = (-sigma if times_sigma else 1.0) / M[..., D + 1, :]
@@ -276,19 +296,15 @@ class GaussianMixtureOracle:
         return np.multiply(s, scale[..., None, :], out=out)
 
     def _score(self, x: np.ndarray, t, times_sigma: bool) -> np.ndarray:
-        """The (n, D) score, or -sigma times it, of an (n, D) batch at t."""
-        X, n = self._points(x)
-        out = self._evaluate(X, self._table(t), times_sigma=times_sigma)
-        return out.swapaxes(-1, -2)[..., :n, :]
-
-    @staticmethod
-    def _like(x, out: np.ndarray) -> np.ndarray:
-        """out without its row axis when x is a single point."""
+        """The score, or -sigma times it, at t in the layout of x: (..., n, D)
+        for an (n, D) batch, (..., D) for a single point."""
+        X, _ = self._points(x)
+        out = self._evaluate(X, self._table(t), times_sigma=times_sigma).swapaxes(-1, -2)
         return out[..., 0, :] if np.asarray(x).ndim == 1 else out
 
     def score(self, x: np.ndarray, t) -> np.ndarray:
         """Gradient of log q_t at x: responsibility-weighted Gaussian pulls."""
-        return self._like(x, self._score(x, t, times_sigma=False))
+        return self._score(x, t, times_sigma=False)
 
     def epsilon(self, x: np.ndarray, t) -> np.ndarray:
         """Ideal noise prediction: -sigma_t times the score at (x, t).
@@ -299,7 +315,7 @@ class GaussianMixtureOracle:
         gives what its times give, bitwise. Each row equals the call on that
         row alone bitwise.
         """
-        return self._like(x, self._score(x, t, times_sigma=True))
+        return self._score(x, t, times_sigma=True)
 
     def draw(self, n: int, key, extra: int = 0) -> tuple:
         """n data rows plus ``extra`` standard normal vectors per row.

@@ -25,12 +25,15 @@ Every candidate is scored by one path, the site scorer that
 frozen state as the oracle's point-major array X = [1; x^T; -||x||^2 / 2]
 (see ``oracle``), built once, and one workspace per pass width G that every
 pass of that width writes over: the (D + 2, G n) point array of the G
-stepped states and the oracle's output. A pass costs the candidates' time
-table, the oracle evaluations of the step (X at the G times at once) and
-of the prediction (the G n stepped points at one time), the step formula
-written in place into the stepped point rows, and the loss reduction;
-nothing is transposed or re-validated per candidate, and only the oracle
-kernel's own logits and moments are allocated per evaluation. The coarse
+stepped states of the n-row batch and the oracle's output; a point array
+holds exactly one column per point, a batch of one row included (the
+oracle kernel alone deals with how numpy rounds that case). A pass costs
+the candidates' time table, the oracle evaluations of the step (X at the
+G times at once) and of the prediction (the G n stepped points at one
+time), the step formula written in place into the stepped point rows,
+and the loss reduction; nothing is transposed or re-validated per
+candidate, and only the oracle kernel's own logits and moments are
+allocated per evaluation. The coarse
 grid goes through in passes of at most ``_PASS_ROWS`` = 8192 rows
 (max(1, 8192 // batch) candidates), which bounds the workspace and those
 temporaries. Each golden-section probe is a pass of one candidate, and
@@ -175,14 +178,14 @@ _PASS_ROWS = 8192
 
 
 class _Workspace(NamedTuple):
-    """The buffers of one pass width G of a site scorer, over N point columns.
+    """The buffers of one pass width G of a site scorer, over a batch of n rows.
 
-    Y is the (D + 2, G N) point array of the G stepped states, its point
-    rows viewed as y, (G, D, N). One output buffer serves every oracle
+    Y is the (D + 2, G n) point array of the G stepped states, its point
+    rows viewed as y, (G, D, n). One output buffer serves every oracle
     evaluation of a pass, as the out of ``_evaluate``: viewed as at_cands,
-    (G, D, N), for an N-column point array at the candidates' table, and
-    as at_one, (D, G N), for Y at one time, whose output is also viewed as
-    pred, (G, D, N). The oracle kernel allocates its own logits and moments.
+    (G, D, n), for an n-point array at the candidates' table, and as
+    at_one, (D, G n), for Y at one time, whose output is also viewed as
+    pred, (G, D, n). The oracle kernel allocates its own logits and moments.
     """
 
     Y: np.ndarray
@@ -192,18 +195,17 @@ class _Workspace(NamedTuple):
     pred: np.ndarray
 
 
-def _workspace(model: GaussianMixtureOracle, G: int, N: int) -> _Workspace:
+def _workspace(model: GaussianMixtureOracle, G: int, n: int) -> _Workspace:
     D = model.dim
-    Y = np.empty((D + 2, G * N))
-    Y[0] = 1.0
-    at_one = np.empty((D, G * N))
+    Y, y = model._point_array(G * n)
+    at_one = np.empty((D, G * n))
 
     def by_point(rows: np.ndarray) -> np.ndarray:
-        return rows.reshape(D, G, N).swapaxes(0, 1)
+        return rows.reshape(D, G, n).swapaxes(0, 1)
 
     # a one-candidate pass evaluates at a scalar-time table, without the G axis
-    at_cands = at_one.reshape(((G,) if G > 1 else ()) + (D, N))
-    return _Workspace(Y, by_point(Y[1 : D + 1]), at_cands, at_one, by_point(at_one))
+    at_cands = at_one.reshape(((G,) if G > 1 else ()) + (D, n))
+    return _Workspace(Y, by_point(y), at_cands, at_one, by_point(at_one))
 
 
 class _SiteScorer:
@@ -221,11 +223,10 @@ class _SiteScorer:
 
     def __init__(self, loss: "StepLoss", idx: int, taus: Sequence[float], targets):
         model, sampler = loss.model, loss.sampler
-        T, D = model.schedule.T, model.dim
+        T = model.schedule.T
         self.loss, self.model, self.T = loss, model, T
         self.c = c = step_constants(model.schedule, loss.t_from, loss.t_to, sampler.kind)
-        X, self.n = model._points(loss.state)
-        self.x = X[1 : D + 1]
+        X, self.x = model._points(loss.state)
         self.targets = [np.ascontiguousarray(t.T) for t in targets]
         self.spaces: dict = {}  # pass width -> _Workspace
         self.src, self.held, self.noise = X, None, None
@@ -239,10 +240,8 @@ class _SiteScorer:
         if idx == 0:
             self.held = model.times(float(taus[1]))
             return
-        self.src = U = np.empty_like(X)
-        U[0] = 1.0
-        _midpoint_state(self.x, c, model._evaluate(X, model.times(float(taus[0]))),
-                        out=U[1 : D + 1])
+        self.src, u = model._point_array(X.shape[1])
+        _midpoint_state(self.x, c, model._evaluate(X, model.times(float(taus[0]))), out=u)
 
     def _pass(self, chunk: np.ndarray) -> list:
         """Per target, (means, stderrs) over the G candidates of chunk."""
@@ -264,8 +263,7 @@ class _SiteScorer:
         else:
             _midpoint_update(x, c, eps, out=y)
         model._evaluate(ws.Y, self.loss.t_pred, out=ws.at_one)
-        pred = ws.pred[..., : self.n]
-        return [_loss(pred, target) for target in self.targets]
+        return [_loss(ws.pred, target) for target in self.targets]
 
     def __call__(self, values) -> list:
         values = np.asarray(values, dtype=float)

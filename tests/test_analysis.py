@@ -19,6 +19,7 @@ from _oracles import (
 from steptuner import (
     ContractError,
     DomainError,
+    GaussianMixtureOracle,
     NoiseSchedule,
     SamplerConfig,
     TunedTrajectory,
@@ -149,6 +150,23 @@ def test_dense_flow_on_a_merged_grid_equals_per_step_epsilon_loop(gmm8_model, sc
     x = draw_start_states(gmm8_model, 33, 5)
     got = dense_flow(x, gmm8_model, points, record)
     assert np.array_equal(got, dense_flow_per_step(x, gmm8_model, points, record))
+
+
+@pytest.mark.parametrize("name", ["gmm8", "unequal3"])
+def test_dense_flow_of_one_row_equals_its_row_of_the_batch(schedule, name):
+    # a one-row state is a one-column point array, which numpy's kernels
+    # would round unlike a batch; each row's states must not depend on it
+    model = make_oracle("gmm8", schedule) if name == "gmm8" else GaussianMixtureOracle(
+        schedule=schedule,
+        means=np.array([[2.0, -1.0, 0.5], [-3.0, 0.0, 1.0], [0.5, 4.0, -2.0]]),
+        scales=np.array([0.02, 0.4, 1.5]),
+        weights=np.array([0.6, 0.3, 0.1]),
+    )
+    x = draw_start_states(model, 37, 0)
+    points = _dense_points(schedule.T, 0.0, 200)
+    batch = dense_flow(x, model, points)
+    for j in range(len(x)):
+        assert np.array_equal(dense_flow(x[j : j + 1], model, points), batch[:, j : j + 1]), j
 
 
 def test_dense_flow_rejects_start_states_as_epsilon_does(gmm8_model):

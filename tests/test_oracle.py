@@ -167,11 +167,13 @@ _MULTI_MODELS = {
 
 
 @pytest.mark.parametrize("name", sorted(_MULTI_MODELS))
-@pytest.mark.parametrize("n, t", [(1, 250.0), (300, 250.0), (300, [0.0, 250.0, 1000.0])])
+@pytest.mark.parametrize(
+    "n, t", [(1, 250.0), (300, 250.0), (300, [0.0, 250.0, 1000.0]), (1, [0.0, 250.0, 1000.0])]
+)
 def test_predictions_are_row_major(schedule, name, n, t):
     # epsilon and score return C-contiguous (..., n, D) arrays, which every
-    # elementwise consumer reads fastest; _evaluate writes into the out it is
-    # given and returns that array itself
+    # elementwise consumer reads fastest, one point at many times included;
+    # _evaluate writes into the out it is given and returns that array itself
     model = _MULTI_MODELS[name](schedule)
     x = np.random.default_rng(n).standard_normal((n, model.dim))
     for method in (model.epsilon, model.score):
@@ -180,9 +182,9 @@ def test_predictions_are_row_major(schedule, name, n, t):
         assert out.flags.c_contiguous
     X, _ = model._points(x)
     table = model.times(t)
-    buf = np.empty(np.shape(t) + (model.dim, X.shape[1]))
+    buf = np.empty(np.shape(t) + (model.dim, n))
     assert model._evaluate(X, table, out=buf) is buf
-    assert np.array_equal(buf.swapaxes(-1, -2)[..., :n, :], model.epsilon(x, t))
+    assert np.array_equal(buf.swapaxes(-1, -2), model.epsilon(x, t))
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,8 +229,8 @@ def test_time_table_rows_equal_plain_times(schedule, name, n, times, seed):
     table = model.times(ts)
     X, _ = model._points(x)
     for j, t in enumerate(ts):
-        assert np.array_equal(model._evaluate(X, table, j).T[:n], model.epsilon(x, t))
-    assert np.array_equal(model._evaluate(X, table, 0, times_sigma=False).T[:n], model.score(x, ts[0]))
+        assert np.array_equal(model._evaluate(X, table, j).T, model.epsilon(x, t))
+    assert np.array_equal(model._evaluate(X, table, 0, times_sigma=False).T, model.score(x, ts[0]))
     assert np.array_equal(model.epsilon(x, table), model.epsilon(x, ts))
     first = model.times(ts[0])
     for method in METHODS:
@@ -288,6 +290,34 @@ def test_rows_do_not_depend_on_the_batch(schedule, name, n, t, seed):
     j = int(rng.integers(n))
     assert np.array_equal(model.epsilon(x[j], t), full[j])
     assert np.array_equal(model.epsilon(x[j : j + 1], t), full[j : j + 1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 37])
+def test_point_arrays_hold_exactly_n_columns(schedule, n):
+    # a point array has one column per point, a single point included; its
+    # point rows are a view that a caller moves in place
+    model = _unequal_mixture_3d(schedule)
+    x = np.random.default_rng(n).standard_normal((n, 3))
+    X, rows = model._points(x)
+    assert np.array_equal(rows, x.T)
+    Y, y = model._point_array(n)
+    for A, a in ((X, rows), (Y, y)):
+        assert A.shape == (5, n) and np.array_equal(A[0], np.ones(n))
+        a[...] = 7.0
+        assert np.all(A[1:4] == 7.0)
+
+
+def test_one_component_log_density_does_not_depend_on_the_batch(schedule):
+    # a one-component mixture's logits are a one-row matrix product, which
+    # numpy rounds unlike a multi-row one; each row must read as it reads
+    # alone, as epsilon's rows do
+    model = standard_gaussian(schedule, 2)
+    x = np.random.default_rng(300).standard_normal((300, 2)) * 2.0
+    t = 804.779
+    for method in (model.log_density, model.responsibilities):
+        full = method(x, t)
+        for j in range(len(x)):
+            assert np.array_equal(method(x[j : j + 1], t), full[j : j + 1]), (method, j)
 
 
 def _random_mixture(schedule, rng, k, D):
