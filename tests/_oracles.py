@@ -253,8 +253,9 @@ def error_bound_rows(coarse, reference, traj, model) -> list:
 def sliced_wasserstein_rows(a: np.ndarray, b: np.ndarray, n_projections: int, seed: int) -> float:
     """Sliced Wasserstein distance with (rows, directions) projections.
 
-    Projects both sets onto 16 unit directions at a time as x @ d.T (a
-    matmul's last bits can depend on its shape, so the chunks match the
+    Projects both sets onto 16 unit directions at a time as d @ x.T and
+    holds the result as (rows, directions) (a matmul's last bits can depend
+    on its shape and orientation, so the chunks and the product match the
     library's), sorts each column, reads the inverted-CDF quantiles at the levels
     (i + 1/2)/m, m the larger set size, by index, and averages the root
     mean squared quantile differences over the directions. The sums over
@@ -272,7 +273,7 @@ def sliced_wasserstein_rows(a: np.ndarray, b: np.ndarray, n_projections: int, se
     w = np.empty(n_projections)
     for c in range(0, n_projections, 16):
         d = dirs[c : c + 16]
-        qa = np.sort(a @ d.T, axis=0)[ia]
-        qb = np.sort(b @ d.T, axis=0)[ib]
+        qa = np.sort(np.ascontiguousarray((d @ a.T).T), axis=0)[ia]
+        qb = np.sort(np.ascontiguousarray((d @ b.T).T), axis=0)[ib]
         w[c : c + len(d)] = np.sqrt(np.mean((qa - qb) ** 2, axis=0))
     return float(w.mean())
