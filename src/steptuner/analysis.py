@@ -2,8 +2,8 @@
 
 The central object of study is the gap between a few-step sampler's states
 and the exact reverse flow. The exact flow is approximated by a dense
-untuned rollout (1000 uniform steps by default) from the same starting
-noise with a second-order multistep integrator in log-SNR. The coarse
+untuned rollout (250 steps on a quadratic grid by default) from the same
+starting noise with a third-order multistep integrator in log-SNR. The coarse
 checkpoints are points of that rollout, so every one can be compared
 pathwise against its ground-truth counterpart at the same time.
 Distribution-level quality uses moment-matched Frechet distance and sliced
@@ -25,8 +25,8 @@ from .samplers import SamplePath, SamplerConfig, _deterministic_part, sample_pat
 from .trajectory import POINT_TOL, Trajectory, TunedTrajectory, baseline_tuned
 from .tuner import _loss, _mean_stderr, _prediction_time, _sum_last
 
-# uniform steps of the dense reference
-DENSE_K = 1000
+# steps of the dense reference's quadratic grid
+DENSE_K = 250
 # random projections of the sliced Wasserstein distance
 N_PROJECTIONS = 128
 # projection directions per chunk in sliced_wasserstein
@@ -81,19 +81,23 @@ def generate_paths(
 
 
 def _dense_points(T: float, t_min: float, m: int) -> np.ndarray:
-    """The m + 1 uniform points T - (T - t_min) j / m, from T down to t_min."""
+    """The m + 1 points t_min + (T - t_min) (j / m)^2 for j = m, ..., 0.
+
+    The quadratic trajectory's spacing: its checkpoints lie on the grid
+    whenever K divides m, and the steps near t_min are short.
+    """
     check_integer("dense_K", m, 1)
     if not t_min < T:
         raise DomainError(f"dense reference requires t_min < T, got {t_min} >= {T}")
-    return t_min + (T - t_min) * np.arange(m, -1, -1) / m
+    return t_min + (T - t_min) * (np.arange(m, -1, -1) / m) ** 2
 
 
 def _merged_points(T: float, t_min: float, m: int, checkpoints) -> tuple:
     """(points, record): ``_dense_points`` with every checkpoint among them.
 
     A checkpoint within ``POINT_TOL`` T of a dense point (the tolerance of a
-    tuned file's trajectory) is snapped onto it; any other one becomes a point of
-    its own. record holds the indices of the checkpoints' points. The
+    tuned file's trajectory) is snapped onto the nearest one; any other one
+    becomes a point of its own. record holds the indices of the checkpoints' points. The
     checkpoints must increase strictly and lie in [t_min, T], or DomainError
     is raised.
     """
@@ -101,8 +105,8 @@ def _merged_points(T: float, t_min: float, m: int, checkpoints) -> tuple:
     c = np.asarray(checkpoints, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise DomainError(f"checkpoints: need a non-empty 1-D array of times, got shape {c.shape}")
-    on = np.abs(c[:, None] - pts) <= POINT_TOL * T
-    c = np.where(on.any(axis=1), pts[on.argmax(axis=1)], c)
+    near = np.abs(c[:, None] - pts).argmin(axis=1)
+    c = np.where(np.abs(c - pts[near]) <= POINT_TOL * T, pts[near], c)
     if not (np.all(np.diff(c) > 0) and t_min <= c[0] and c[-1] <= T):
         raise DomainError(f"checkpoints: must increase strictly within [{t_min}, {T}], got {c}")
     pts = np.union1d(pts, c)[::-1]
@@ -117,20 +121,23 @@ def dense_flow(
 ) -> np.ndarray:
     """Dense untuned deterministic rollout over the given points, from points[0] down.
 
-    A second-order multistep exponential integrator in log-SNR (the
-    two-step DPM-Solver of Lu et al. 2022) with one model evaluation per
+    A third-order multistep exponential integrator in log-SNR (the
+    multistep DPM-Solver-3 of Lu et al. 2022) with one model evaluation per
     step. points is a strictly decreasing 1-D array p_0 > p_1 > ... > p_m
     of at least two times, and x is the state at p_0; anything else raises
     DomainError. Step j goes from p_{j-1} to p_j: the baseline solver
     update plus the correction
 
-        - sigma_to * (expm1(h) - h) * (eps - eps_prev) / h_prev,
+        - sigma_to * [(expm1(h) - h) (d1 + h1 d2) + 2 (expm1(h) - h - h^2/2) d2],
 
-    where eps is the prediction at p_{j-1}, eps_prev the one of the previous
-    step, h = log_snr(p_j) - log_snr(p_{j-1}) and h_prev the previous step's
-    h, so unequal steps are taken as they come. The first step has no
-    history, and a step ending below t_eps has no finite log-SNR; both stay
-    first order.
+    the integral of the quadratic through the last three predictions, with
+    h = log_snr(p_j) - log_snr(p_{j-1}), h1 and h2 the h of the two
+    previous steps, d1 = (eps - eps_prev) / h1 the slope from the previous
+    prediction to the one at p_{j-1}, and d2 = (d1 - d1_prev) / (h1 + h2),
+    where d1_prev is the previous step's d1; unequal steps are taken as
+    they come. The first step has no history and stays first order, and
+    the second has no d1_prev and is second order (d2 = 0). A step ending
+    below t_eps has no finite log-SNR and stays first order.
 
     record lists the indices j in [0, m] of the points whose states are
     kept (None keeps all); the states come back in walking order, so only
@@ -140,11 +147,11 @@ def dense_flow(
     The state lives point-major, in the (D, n) point rows of the oracle's
     point array of x, for all m steps: each step evaluates that array at
     its row of the table, then applies the step and the correction to
-    those rows in place. Two (D, n) eps buffers, the current prediction
-    and the previous one, are allocated once and reused; only the kept
-    states are transposed back to (n, D). A one-row x is one column here
-    too: how numpy rounds a single column is the oracle kernel's concern,
-    so each row's states equal those of the batch bitwise.
+    those rows in place. Three (D, n) buffers, for eps, eps_prev and
+    d1_prev, are allocated once and take turns; only the kept states are
+    transposed back to (n, D). A one-row x is one column here too: how
+    numpy rounds a single column is the oracle kernel's concern, so each
+    row's states equal those of the batch bitwise.
     """
     sched = model.schedule
     pts = np.asarray(points, dtype=float)
@@ -163,19 +170,24 @@ def dense_flow(
     second = pts >= sched.t_eps  # where log-SNR is finite
     lam = np.zeros_like(pts)
     lam[second] = sched.log_snr(pts[second])
-    eps, spare = np.empty((2,) + state.shape)
-    eps_prev = h_prev = None
+    eps, eps_prev, slope = np.empty((3,) + state.shape)
+    h1 = h2 = None
     for j in range(1, m + 1):
         model._evaluate(X, table, j - 1, out=eps)
         _deterministic_part(state, alpha[j - 1], sigma[j - 1], alpha[j], sigma[j], eps, out=state)
         if second[j]:
             h = lam[j] - lam[j - 1]
-            if eps_prev is not None:
-                d = np.subtract(eps, eps_prev, out=eps_prev)
-                d *= sigma[j] * (expm1(h) - h) / h_prev
-                state -= d
-            eps_prev, h_prev = eps, h
-            eps, spare = spare, eps
+            if h1 is not None:
+                phi2 = expm1(h) - h
+                d1 = np.subtract(eps, eps_prev, out=eps_prev)
+                d1 /= h1
+                if h2 is not None:
+                    d2 = np.subtract(d1, slope, out=slope)
+                    d2 *= sigma[j] * (h1 * phi2 + 2.0 * (phi2 - 0.5 * h * h)) / (h1 + h2)
+                    state -= d2
+                state -= np.multiply(d1, sigma[j] * phi2, out=slope)
+                eps_prev, slope = slope, d1
+            eps, eps_prev, h1, h2 = eps_prev, eps, h, h1
         if keep[j]:
             states[slot[j]] = state.T
     return states
@@ -190,7 +202,8 @@ def reference_path(
 ) -> SamplePath:
     """The dense reference: ``dense_flow`` from T down to t_min.
 
-    By default the path holds all dense_K + 1 states of the uniform grid.
+    The grid is ``_dense_points``: dense_K steps, quadratic in t and so
+    shortest near t_min. By default the path holds all dense_K + 1 states.
     Given checkpoint times, strictly increasing in [t_min, T], the grid
     gains each checkpoint as a point (``_merged_points``), and the path
     holds the states at the checkpoints only, with the checkpoints as given

@@ -51,29 +51,21 @@ def step_coefficient(schedule, t_from: float, t_to: float, sigma_tau: float) -> 
     return a_t / a_f - (a_t * s_f / a_f - s_t) * sigma_tau
 
 
-def dense_coefficient_product(schedule, K: int, t_min: float = 0.0) -> float:
-    """Product of baseline step coefficients over a uniform K-step grid."""
-    pts = t_min + (schedule.T - t_min) * np.arange(K + 1) / K
-    prod = 1.0
-    for j in range(K, 0, -1):
-        a_f, s_f = schedule.alpha_sigma(pts[j])
-        prod *= step_coefficient(schedule, pts[j], pts[j - 1], s_f)
-    return prod
-
-
 def dense_multistep_product(schedule, K: int, t_min: float = 0.0) -> float:
-    """Multiplier of x_T after the second-order dense reference rollout.
+    """Multiplier of x_T after the third-order dense reference rollout.
 
-    Replays, on a uniform K-step grid, the two-step exponential integrator
-    in log-SNR: the baseline step plus
-    -sigma_to * (expm1(h) - h) * (eps - eps_prev) / h_prev, first order at
-    the first step and at any step ending below t_eps. With the ideal
-    prediction eps(x, t) = sigma_t * x every quantity is the state's scalar
-    multiple, so the rollout collapses to this scalar recurrence.
+    Replays, on the quadratic K-step grid t_min + (T - t_min) (j/K)^2, the
+    multistep exponential integrator in log-SNR: the baseline step less
+    sigma_to * [(expm1(h) - h)(d1 + h1 d2) + 2 (expm1(h) - h - h^2/2) d2],
+    with d1 = (eps - eps_prev)/h1 and d2 = (d1 - d1_prev)/(h1 + h2) from the
+    last three predictions, first order at the first step and at any step
+    ending below t_eps and second order (d2 = 0) at the second. With the
+    ideal prediction eps(x, t) = sigma_t * x every quantity is the state's
+    scalar multiple, so the rollout collapses to this scalar recurrence.
     """
-    pts = t_min + (schedule.T - t_min) * np.arange(K + 1) / K
+    pts = t_min + (schedule.T - t_min) * (np.arange(K + 1) / K) ** 2
     m = 1.0
-    eps_prev = h_prev = None
+    eps_prev = d1_prev = h1 = h2 = None
     for j in range(K, 0, -1):
         a_f, s_f = schedule.alpha_sigma(pts[j])
         a_t, s_t = schedule.alpha_sigma(pts[j - 1])
@@ -82,8 +74,12 @@ def dense_multistep_product(schedule, K: int, t_min: float = 0.0) -> float:
         if pts[j - 1] >= schedule.t_eps:
             h = np.log(a_t / s_t) - np.log(a_f / s_f)
             if eps_prev is not None:
-                m_next -= s_t * (np.expm1(h) - h) * (eps - eps_prev) / h_prev
-            eps_prev, h_prev = eps, h
+                d1 = (eps - eps_prev) / h1
+                d2 = 0.0 if d1_prev is None else (d1 - d1_prev) / (h1 + h2)
+                phi2 = np.expm1(h) - h
+                m_next -= s_t * (phi2 * (d1 + h1 * d2) + 2.0 * (phi2 - h * h / 2.0) * d2)
+                d1_prev = d1
+            eps_prev, h1, h2 = eps, h, h1
         m = m_next
     return m
 
@@ -91,13 +87,15 @@ def dense_multistep_product(schedule, K: int, t_min: float = 0.0) -> float:
 def dense_flow_per_step(x, model, points, record=None):
     """The dense reference rollout with one ``model.epsilon`` call per step.
 
-    The same two-step log-SNR integrator as ``analysis.dense_flow``, written
-    as a plain loop over (n, D) states on the decreasing points p_0 > ... >
-    p_m: step k evaluates ``model.epsilon`` at p_{k-1}, the baseline step is
-    followed by the correction
-    -sigma_to * (expm1(h) - h) * (eps - eps_prev) / h_prev where both ends
-    have a finite log-SNR, and the states at the indices in record (all when
-    None) are kept, in walking order.
+    The same multistep log-SNR integrator as ``analysis.dense_flow``,
+    written as a plain loop over (n, D) states on the decreasing points p_0
+    > ... > p_m: step k evaluates ``model.epsilon`` at p_{k-1}, and where
+    both ends have a finite log-SNR the baseline step is followed by the
+    second-order correction -sigma_to (expm1(h) - h) d1 and, from the third
+    such step, the third-order one
+    -sigma_to (h1 (expm1(h) - h) + 2 (expm1(h) - h - h^2/2)) d2, with
+    d1 = (eps - eps_prev)/h1 and d2 = (d1 - d1_prev)/(h1 + h2). The states
+    at the indices in record (all when None) are kept, in walking order.
     """
     sched = model.schedule
     pts = np.asarray(points, dtype=float)
@@ -109,7 +107,7 @@ def dense_flow_per_step(x, model, points, record=None):
     second = pts >= sched.t_eps
     lam = np.zeros_like(pts)
     lam[second] = sched.log_snr(pts[second])
-    eps_prev = h_prev = None
+    eps_prev = d1_prev = h1 = h2 = None
     for k in range(1, m + 1):
         eps = model.epsilon(x, pts[k - 1])
         a_f, s_f, a_t, s_t = alpha[k - 1], sigma[k - 1], alpha[k], sigma[k]
@@ -117,11 +115,29 @@ def dense_flow_per_step(x, model, points, record=None):
         if second[k]:
             h = lam[k] - lam[k - 1]
             if eps_prev is not None:
-                x -= (s_t * (expm1(h) - h) / h_prev) * (eps - eps_prev)
-            eps_prev, h_prev = eps, h
+                phi2 = expm1(h) - h
+                d1 = (eps - eps_prev) / h1
+                if d1_prev is not None:
+                    x -= (s_t * (h1 * phi2 + 2.0 * (phi2 - 0.5 * h * h)) / (h1 + h2)) * (d1 - d1_prev)
+                x -= (s_t * phi2) * d1
+                d1_prev = d1
+            eps_prev, h1, h2 = eps, h, h1
         if keep[k]:
             states.append(x)
     return np.array(states).reshape((len(states),) + x.shape)
+
+
+def gaussian_flow(schedule, mu, s: float, x, t_from: float, t_to: float):
+    """The exact probability-flow map of one Gaussian N(mu, s^2 I).
+
+    Its marginal at t is N(alpha_t mu, r_t^2 I) with r_t^2 = alpha_t^2 s^2
+    + sigma_t^2, and the flow moves every state affinely:
+    x_to = alpha_to mu + (r_to / r_from) (x - alpha_from mu).
+    """
+    (a_f, a_t), (s_f, s_t) = schedule.alpha_sigma(np.array([t_from, t_to]))
+    r_f, r_t = sqrt(a_f * a_f * s * s + s_f * s_f), sqrt(a_t * a_t * s * s + s_t * s_t)
+    mu = np.asarray(mu, dtype=float)
+    return a_t * mu + (r_t / r_f) * (np.asarray(x, dtype=float) - a_f * mu)
 
 
 def reconstruct_tune_batch(model, batch: int, seed: int, step: int):

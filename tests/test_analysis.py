@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
-    dense_coefficient_product,
     dense_flow_per_step,
     dense_multistep_product,
     error_bound_rows,
+    gaussian_flow,
     sliced_wasserstein_rows,
 )
 from steptuner import (
@@ -31,6 +31,7 @@ from steptuner import (
     tune,
 )
 from steptuner.analysis import (
+    DENSE_K,
     _dense_points,
     _evaluate_many,
     _merged_points,
@@ -95,11 +96,34 @@ def test_reference_path_matches_coefficient_product(standard_model, schedule):
     assert ratio == pytest.approx(expected, rel=1e-12)
 
 
-def test_dense_rollout_first_order_in_step_count(schedule):
-    # identity defect shrinks linearly with the dense step count
-    d1 = abs(1.0 - dense_coefficient_product(schedule, 1000, 0.0))
-    d2 = abs(1.0 - dense_coefficient_product(schedule, 2000, 0.0))
-    assert 0.4 < d2 / d1 < 0.6
+def test_reference_path_matches_the_exact_flow_of_one_gaussian(schedule):
+    # one Gaussian N(mu, s^2 I) has an affine exact flow (``gaussian_flow``).
+    # At the default step count the third-order steps keep the reference
+    # within 3.0e-7 of it down to t = 10; the first-order steps below t_eps
+    # leave 1.7e-4 at t = 0. Each bound is twice that measured error. From
+    # m = 250 to 1000 steps the error falls 61x at t = 40 (third order:
+    # 4^3 = 64) and 4x at t = 0 (first order); the ratio bounds are a factor
+    # 2 from the order's ratio, and each excludes the next order down or up.
+    mu, s = np.array([1.0, 0.0]), 0.05
+    model = GaussianMixtureOracle(
+        schedule=schedule, means=mu[None], scales=np.array([s]), weights=np.array([1.0])
+    )
+    traj = make_trajectory("quadratic", 10, schedule)
+    x_T = draw_start_states(model, 256, 0)
+    exact = [gaussian_flow(schedule, mu, s, x_T, schedule.T, t) for t in traj.points]
+
+    def errors(m):  # mean L2 error at each checkpoint, t = 0 first
+        ref = reference_path(x_T, model, dense_K=m, checkpoints=traj.points)
+        return np.array([np.linalg.norm(ref.state_at(i) - e, axis=1).mean() for i, e in enumerate(exact)])
+
+    err = errors(DENSE_K)
+    assert DENSE_K == 250 and traj.points[1] == pytest.approx(10.0)
+    assert err[1:].max() < 6e-7, err
+    assert err[0] < 3.4e-4, err
+    fine = errors(4 * DENSE_K)
+    assert traj.points[2] == pytest.approx(40.0)
+    assert 32 < err[2] / fine[2] < 128, (err[2], fine[2])
+    assert 2 < err[0] / fine[0] < 8, (err[0], fine[0])
 
 
 def test_reference_path_repeatable(gmm8_model):
@@ -142,11 +166,11 @@ def test_dense_flow_equals_per_step_epsilon_loop(schedule, preset, t_from, t_to,
 
 @pytest.mark.parametrize("kind, K", [("quadratic", 20), ("log-snr", 10)])
 def test_dense_flow_on_a_merged_grid_equals_per_step_epsilon_loop(gmm8_model, schedule, kind, K):
-    # checkpoints off the uniform grid make unequal steps, which the
-    # multistep correction takes through h_prev
+    # checkpoints off the default grid make unequal steps, which the
+    # multistep corrections take through h1 and h2
     traj = make_trajectory(kind, K, schedule)
-    points, record = _merged_points(schedule.T, 0.0, 1000, traj.points)
-    assert len(points) > 1001
+    points, record = _merged_points(schedule.T, 0.0, DENSE_K, traj.points)
+    assert len(points) > DENSE_K + 1
     x = draw_start_states(gmm8_model, 33, 5)
     got = dense_flow(x, gmm8_model, points, record)
     assert np.array_equal(got, dense_flow_per_step(x, gmm8_model, points, record))
@@ -219,15 +243,15 @@ def test_reference_checkpoints_equal_full_reference(gmm8_model, schedule, kind):
     points, record = _merged_points(schedule.T, t_min, 1000, traj.points)
     full = dense_flow(x_T, gmm8_model, points)
     assert np.array_equal(ckpt.trajectory_points, traj.points)
-    # on-grid checkpoints are snapped: 10.000000000000002 reads the state at 10.0
+    # a checkpoint within 1e-9 T of a dense point is snapped onto it
     assert np.allclose(points[record], traj.points[::-1], rtol=0, atol=1e-9 * schedule.T)
     assert np.array_equal(ckpt.states, full[record])
 
 
 @pytest.mark.parametrize("t_min", [0.0, 1.0])
 def test_on_grid_checkpoints_add_no_dense_point(gmm8_model, schedule, t_min):
-    # K = 10 quadratic lies on the 1000-step grid at both shipped t_min, up
-    # to the rounding of its points (t_1 = 10.000000000000002 against 10.0)
+    # K = 10 quadratic lies on the 1000-step grid at both shipped t_min: the
+    # grid has its spacing, and 10 divides 1000
     traj = make_trajectory("quadratic", 10, schedule, t_min=t_min)
     points, record = _merged_points(schedule.T, t_min, 1000, traj.points)
     assert np.array_equal(points, _dense_points(schedule.T, t_min, 1000))
@@ -238,16 +262,32 @@ def test_on_grid_checkpoints_add_no_dense_point(gmm8_model, schedule, t_min):
 
 
 def test_off_grid_checkpoint_is_the_exact_flow_there(gmm8_model, schedule):
-    # K = 20 quadratic has t_1 = 2.5, half a dense step off the grid; the
-    # reference's state there is a dense rollout that ends at 2.5
+    # K = 20 quadratic has t_1 = 2.5, between the default grid's 2.304 and
+    # 2.704, since 20 does not divide 250; the reference's state there is a
+    # dense rollout that ends at 2.5
     traj = make_trajectory("quadratic", 20, schedule)
     t_1 = float(traj.points[1])
     assert t_1 == pytest.approx(2.5, abs=1e-12)
+    assert t_1 not in _dense_points(schedule.T, 0.0, DENSE_K)
     x_T = draw_start_states(gmm8_model, 1024, 0)
-    ref = reference_path(x_T, gmm8_model, dense_K=1000, checkpoints=traj.points)
+    ref = reference_path(x_T, gmm8_model, checkpoints=traj.points)
     [exact] = dense_flow(x_T, gmm8_model, _dense_points(schedule.T, t_1, 1000), [1000])
     err = float(np.linalg.norm(ref.state_at(1) - exact, axis=1).mean())
     assert err < 1e-4, err
+
+
+def test_checkpoints_snap_to_the_nearest_dense_point(schedule):
+    # at 40,000 steps the quadratic grid's last spacing, 1000 / 40000^2 =
+    # 6.25e-7, is below the snapping tolerance 1e-9 T: t = 0 lies within it
+    # of 6.25e-7 as well as of 0, and must be recorded at 0
+    traj = make_trajectory("quadratic", 10, schedule)
+    points, record = _merged_points(schedule.T, 0.0, 40_000, traj.points)
+    assert points[-2] < 1e-9 * schedule.T and len(points) == 40_001
+    assert np.array_equal(points[record], traj.points[::-1])
+    # an off-grid time nearer 0 than 6.25e-7 snaps to 0, one nearer 6.25e-7 to it
+    for t, want in ((2e-7, 0.0), (5e-7, points[-2])):
+        points, record = _merged_points(schedule.T, 0.0, 40_000, [t, 500.0])
+        assert points[record[-1]] == want and len(points) == 40_002
 
 
 def test_reference_rejects_bad_checkpoints(gmm8_model):
@@ -303,7 +343,8 @@ def test_gap_profile_of_path_against_itself(gmm8_model, schedule):
 
 
 def test_gap_profile_pairs_states_by_index(gmm8_model, schedule):
-    traj = make_trajectory("uniform", 10, schedule)
+    # K = 10 quadratic checkpoint i is point 100 i of the 1000-step grid
+    traj = make_trajectory("quadratic", 10, schedule)
     base = baseline_tuned(traj, schedule, "ddim-family")
     x_T = draw_start_states(gmm8_model, 128, 0)
     p = generate_paths(x_T, base, SamplerConfig(), gmm8_model)

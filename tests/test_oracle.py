@@ -243,11 +243,11 @@ def test_time_table_rows_equal_plain_times(schedule, name, n, times, seed):
 @pytest.mark.parametrize("name", sorted(_MULTI_MODELS))
 @pytest.mark.parametrize("t_min", [0.0, 1.0])
 def test_time_table_rows_on_the_dense_grid(schedule, name, t_min):
-    # the dense reference's points, the uniform 1,001 and those merged with
-    # the off-grid checkpoints of K = 20 quadratic: each row of the one
+    # the dense reference's points, the 1,001 of the grid and those merged
+    # with the off-grid checkpoints of K = 10 log-SNR: each row of the one
     # table, as the kernel reads it, equals the table its time alone builds
     model = _MULTI_MODELS[name](schedule)
-    checkpoints = make_trajectory("quadratic", 20, schedule, t_min=t_min).points
+    checkpoints = make_trajectory("log-snr", 10, schedule, t_min=t_min).points
     merged, _ = _merged_points(schedule.T, t_min, 1000, checkpoints)
     for pts in (_dense_points(schedule.T, t_min, 1000), merged):
         table = model.times(pts)
