@@ -2,10 +2,11 @@
 
 The central object of study is the gap between a few-step sampler's states
 and the exact reverse flow. The exact flow is approximated by a dense
-untuned rollout (250 steps on a quadratic grid by default) from the same
-starting noise with a third-order multistep integrator in log-SNR. The coarse
-checkpoints are points of that rollout, so every one can be compared
-pathwise against its ground-truth counterpart at the same time.
+untuned rollout (200 steps on a quadratic grid by default) from the same
+starting noise with a fourth-order multistep integrator, in log-SNR down to
+t_eps and in sigma / alpha below it, so that it keeps its order down to
+t = 0. The coarse checkpoints are points of that rollout, so every one can
+be compared pathwise against its ground-truth counterpart at the same time.
 Distribution-level quality uses moment-matched Frechet distance and sliced
 Wasserstein distance at the final state.
 """
@@ -13,7 +14,7 @@ Wasserstein distance at the final state.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import expm1, sqrt
+from math import factorial, sqrt
 from typing import Optional
 
 import numpy as np
@@ -21,12 +22,14 @@ import numpy as np
 from .errors import ContractError, DomainError, check_integer
 from .oracle import GaussianMixtureOracle
 from .rng import PURPOSE_PATHS, PURPOSE_PROJ, derive_rng
-from .samplers import SamplePath, SamplerConfig, _deterministic_part, sample_path
+from .samplers import SamplePath, SamplerConfig, sample_path
 from .trajectory import POINT_TOL, Trajectory, TunedTrajectory, baseline_tuned
 from .tuner import _loss, _mean_stderr, _prediction_time, _sum_last
 
 # steps of the dense reference's quadratic grid
-DENSE_K = 250
+DENSE_K = 200
+# predictions each dense step interpolates, and so its order
+DENSE_ORDER = 4
 # random projections of the sliced Wasserstein distance
 N_PROJECTIONS = 128
 # projection directions per chunk in sliced_wasserstein
@@ -84,7 +87,8 @@ def _dense_points(T: float, t_min: float, m: int) -> np.ndarray:
     """The m + 1 points t_min + (T - t_min) (j / m)^2 for j = m, ..., 0.
 
     The quadratic trajectory's spacing: its checkpoints lie on the grid
-    whenever K divides m, and the steps near t_min are short.
+    whenever K divides m (K = 5, 10 and 20 at the default m = 200), and the
+    steps near t_min are short, where ``dense_flow`` steps in sigma / alpha.
     """
     check_integer("dense_K", m, 1)
     if not t_min < T:
@@ -113,6 +117,57 @@ def _merged_points(T: float, t_min: float, m: int, checkpoints) -> tuple:
     return pts, np.flatnonzero(np.isin(pts, c))
 
 
+def _dense_weights(model: GaussianMixtureOracle, pts: np.ndarray) -> tuple:
+    """(ratio, W): the state ratios and the (m, DENSE_ORDER) weights of the dense steps.
+
+    Step j, from p_{j-1} to p_j, is x <- ratio_j x - sum_i w_i eps_{j-1-i},
+    with ratio_j = alpha_j / alpha_{j-1} and w = W[j - 1], where eps_k is
+    the prediction at p_k and i < q = min(DENSE_ORDER, j); w_i is 0 for
+    i >= q. It integrates the polynomial through those q predictions in one
+    variable z, at the nodes u_i = z(p_{j-1-i}) - z(p_{j-1}), from 0 to
+    h = z(p_j) - z(p_{j-1}):
+
+        w_i = c_j sum_k r_k L_i^(k)(0),  L_i the Lagrange basis polynomial of node i.
+
+    A step ending at t >= t_eps takes z = log-SNR lambda, with c_j = sigma_j
+    and r_k = e^h - sum_{i <= k} h^i / i! (the integrals of the exponential
+    weight against u^k / k!); q = 1 is the baseline solver step. A step
+    ending below t_eps, where lambda is infinite, takes z = rho = sigma /
+    alpha, with c_j = alpha_j and r_k = -h^(k+1) / (k+1)!: Adams-Bashforth
+    in rho. All steps are computed at once, elementwise.
+    """
+    sched, m, q = model.schedule, len(pts) - 1, DENSE_ORDER
+    alpha, sigma = sched.alpha_sigma(pts)
+    in_lam = pts[1:] >= sched.t_eps  # the steps whose points all have a finite log-SNR
+    lam = sched.log_snr(np.maximum(pts, sched.t_eps))  # read only where it is finite
+    idx = np.arange(1, m + 1)[:, None] - np.arange(q + 1)  # step j's end p_j, then its nodes
+    valid = idx[:, 1:] >= 0
+    z = np.where(in_lam[:, None], lam[idx], (sigma / alpha)[idx])
+    u, h = z[:, 1:] - z[:, 1:2], z[:, 0] - z[:, 1]
+    # k! r_k, power k first. In lambda, where h > 0, r_{q-1} = sum_{i >= q}
+    # h^i / i! is summed as its series below h = 1 (the 19th term is below
+    # 1e-19 of the sum), and r_{k-1} = r_k + h^k / k! adds a positive term,
+    # so no r_k cancels
+    r = np.where(h < 1, sum(h**i / factorial(i) for i in range(q, q + 18)),
+                 np.expm1(h) - sum(h**i / factorial(i) for i in range(1, q)))
+    R = np.empty((q, m))
+    for k in range(q - 1, -1, -1):
+        R[k] = factorial(k) * np.where(in_lam, r, -h ** (k + 1) / factorial(k + 1))
+        r = r + h**k / factorial(k)
+    c = np.where(in_lam, sigma[1:], alpha[1:])
+    # A[i] holds L_i's power coefficients, lowest first, multiplied by each
+    # (u - u_l) / (u_i - u_l) in turn; its top one stays 0 until the last
+    # factor, so shifting it up one power may wrap that round to the bottom
+    U, V, A = u.T, valid.T, np.zeros((q, q, m))
+    A[:, 0] = 1.0
+    for l in range(q):
+        use = V & V[l] & (np.arange(q) != l)[:, None]
+        d = np.where(use, U - U[l], 1.0)[:, None]
+        A = np.where(use[:, None], (A[:, np.arange(q) - 1] - U[l] * A) / d, A)
+    W = np.where(V, c * (R * A).sum(axis=1), 0.0).T
+    return alpha[1:] / alpha[:-1], W
+
+
 def dense_flow(
     x: np.ndarray,
     model: GaussianMixtureOracle,
@@ -121,43 +176,33 @@ def dense_flow(
 ) -> np.ndarray:
     """Dense untuned deterministic rollout over the given points, from points[0] down.
 
-    A third-order multistep exponential integrator in log-SNR (the
-    multistep DPM-Solver-3 of Lu et al. 2022) with one model evaluation per
-    step. points is a strictly decreasing 1-D array p_0 > p_1 > ... > p_m
-    of at least two times, and x is the state at p_0; anything else raises
-    DomainError. Step j goes from p_{j-1} to p_j: the baseline solver
-    update plus the correction
-
-        - sigma_to * [(expm1(h) - h) (d1 + h1 d2) + 2 (expm1(h) - h - h^2/2) d2],
-
-    the integral of the quadratic through the last three predictions, with
-    h = log_snr(p_j) - log_snr(p_{j-1}), h1 and h2 the h of the two
-    previous steps, d1 = (eps - eps_prev) / h1 the slope from the previous
-    prediction to the one at p_{j-1}, and d2 = (d1 - d1_prev) / (h1 + h2),
-    where d1_prev is the previous step's d1; unequal steps are taken as
-    they come. The first step has no history and stays first order, and
-    the second has no d1_prev and is second order (d2 = 0). A step ending
-    below t_eps has no finite log-SNR and stays first order.
+    A fourth-order multistep exponential integrator (the multistep
+    DPM-Solver of Lu et al. 2022 taken to order four) with one model
+    evaluation per step. points is a strictly decreasing 1-D array p_0 >
+    p_1 > ... > p_m of at least two times, and x is the state at p_0;
+    anything else raises DomainError. Step j goes from p_{j-1} to p_j as
+    one weighted sum of the last min(4, j) predictions (``_dense_weights``):
+    in log-SNR down to t_eps and in rho = sigma / alpha below it, where it
+    stays fourth order down to t = 0. Unequal steps are taken as they come,
+    and the history carries across t_eps.
 
     record lists the indices j in [0, m] of the points whose states are
     kept (None keeps all); the states come back in walking order, so only
     len(record) states are ever stored. The oracle's time table of all
-    m + 1 points is built once, before the first step.
+    m + 1 points and the weights are built once, before the first step.
 
     The state lives point-major, in the (D, n) point rows of the oracle's
     point array of x, for all m steps: each step evaluates that array at
-    its row of the table, then applies the step and the correction to
-    those rows in place. Three (D, n) buffers, for eps, eps_prev and
-    d1_prev, are allocated once and take turns; only the kept states are
-    transposed back to (n, D). A one-row x is one column here too: how
-    numpy rounds a single column is the oracle kernel's concern, so each
-    row's states equal those of the batch bitwise.
+    its row of the table into a ring of four (D, n) prediction buffers,
+    multiplies the rows by ratio_j in place, then subtracts each weighted
+    prediction, newest first, through one scratch buffer; only the kept
+    states are transposed back to (n, D). Every operation is elementwise,
+    so each row's states equal those of the batch bitwise.
     """
-    sched = model.schedule
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or len(pts) < 2 or not np.all(np.diff(pts) < 0):
         raise DomainError("dense flow needs a strictly decreasing 1-D array of at least two points")
-    m = len(pts) - 1
+    m, q = len(pts) - 1, DENSE_ORDER
     if record is not None and (bad := np.setdiff1d(record, np.arange(m + 1))).size:
         raise DomainError(f"record: index {bad[0]} is not an integer in [0, {m}]")
     keep = np.full(m + 1, True) if record is None else np.isin(np.arange(m + 1), record)
@@ -165,29 +210,14 @@ def dense_flow(
     states, slot = np.empty((int(keep.sum()),) + state.shape[::-1]), np.cumsum(keep) - 1
     if keep[0]:
         states[0] = state.T
-    alpha, sigma = sched.alpha_sigma(pts)
     table = model.times(pts)
-    second = pts >= sched.t_eps  # where log-SNR is finite
-    lam = np.zeros_like(pts)
-    lam[second] = sched.log_snr(pts[second])
-    eps, eps_prev, slope = np.empty((3,) + state.shape)
-    h1 = h2 = None
+    ratio, W = _dense_weights(model, pts)
+    ring, scratch = np.empty((q,) + state.shape), np.empty_like(state)
     for j in range(1, m + 1):
-        model._evaluate(X, table, j - 1, out=eps)
-        _deterministic_part(state, alpha[j - 1], sigma[j - 1], alpha[j], sigma[j], eps, out=state)
-        if second[j]:
-            h = lam[j] - lam[j - 1]
-            if h1 is not None:
-                phi2 = expm1(h) - h
-                d1 = np.subtract(eps, eps_prev, out=eps_prev)
-                d1 /= h1
-                if h2 is not None:
-                    d2 = np.subtract(d1, slope, out=slope)
-                    d2 *= sigma[j] * (h1 * phi2 + 2.0 * (phi2 - 0.5 * h * h)) / (h1 + h2)
-                    state -= d2
-                state -= np.multiply(d1, sigma[j] * phi2, out=slope)
-                eps_prev, slope = slope, d1
-            eps, eps_prev, h1, h2 = eps_prev, eps, h, h1
+        model._evaluate(X, table, j - 1, out=ring[(j - 1) % q])
+        state *= ratio[j - 1]
+        for i in range(min(q, j)):
+            state -= np.multiply(ring[(j - 1 - i) % q], W[j - 1, i], out=scratch)
         if keep[j]:
             states[slot[j]] = state.T
     return states
@@ -203,7 +233,7 @@ def reference_path(
     """The dense reference: ``dense_flow`` from T down to t_min.
 
     The grid is ``_dense_points``: dense_K steps, quadratic in t and so
-    shortest near t_min. By default the path holds all dense_K + 1 states.
+    shortest near t_min, each of fourth order, down to t_min = 0 too. By default the path holds all dense_K + 1 states.
     Given checkpoint times, strictly increasing in [t_min, T], the grid
     gains each checkpoint as a point (``_merged_points``), and the path
     holds the states at the checkpoints only, with the checkpoints as given

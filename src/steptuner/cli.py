@@ -21,6 +21,8 @@ import numpy as np
 from . import __version__
 from .analysis import (
     DENSE_K,
+    DENSE_ORDER,
+    _merged_points,
     csv_table,
     draw_start_states,
     evaluate_samples,
@@ -142,11 +144,12 @@ def cmd_gap(args, cfg, schedule, model, traj, sampler) -> tuple:
     _require_n(args, 1)
     x_T = draw_start_states(model, args.n, cfg.seeds.sample)
     coarse = generate_paths(x_T, tuned, sampler, model)
-    reference = reference_path(
-        x_T, model, DENSE_K, t_min=float(traj.points[0]),
-        checkpoints=coarse.trajectory_points,
-    )
-    return [gap_profile(coarse, reference).to_csv()], {}
+    t_min, checkpoints = float(traj.points[0]), coarse.trajectory_points
+    reference = reference_path(x_T, model, DENSE_K, t_min=t_min, checkpoints=checkpoints)
+    # which reference the gaps are measured against, for the sidecar
+    points, _ = _merged_points(schedule.T, t_min, DENSE_K, checkpoints)
+    ref = {"dense_K": DENSE_K, "order": DENSE_ORDER, "steps": len(points) - 1}
+    return [gap_profile(coarse, reference).to_csv()], {"reference": ref}
 
 
 def cmd_sweep(args, cfg, schedule, model, traj, sampler) -> tuple:

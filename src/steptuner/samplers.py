@@ -109,8 +109,8 @@ def _check_taus(T: float, *taus) -> None:
 def _update(x, ratio: float, coef: float, eps, out=None):
     """ratio * x - coef * eps: every solver update and stage is this expression.
 
-    Sharing it is what makes the rollout, the tuner's scorer and the dense
-    reference produce bit-identical arithmetic; do not reassociate. x and
+    Sharing it is what makes the rollout and the tuner's scorer produce
+    bit-identical arithmetic; do not reassociate. x and
     eps may be in either layout, (n, D) or point-major (..., D, n), as long
     as they broadcast. The result goes to out, which may be x itself, or
     else to the eps term's new array, which has its shape.

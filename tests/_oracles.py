@@ -2,14 +2,19 @@
 
 Everything here is deliberately written from first principles (quadrature,
 quadratic-formula inversions, explicit per-row RNG reconstruction) so
-that test expectations never come from the code under test.
+that test expectations never come from the code under test. The one
+exception is ``dense_flow_per_step``, which takes the library's dense
+weights so as to match its rollout bit for bit; the weights are checked
+on their own against ``multistep_moments``.
 """
 
-from math import expm1, sqrt
+from decimal import Decimal, localcontext
+from math import factorial, sqrt
 
 import numpy as np
 from scipy import integrate
 
+from steptuner.analysis import _dense_weights
 from steptuner.rng import PURPOSE_PROJ, PURPOSE_TUNE, derive_rng
 
 
@@ -51,78 +56,103 @@ def step_coefficient(schedule, t_from: float, t_to: float, sigma_tau: float) -> 
     return a_t / a_f - (a_t * s_f / a_f - s_t) * sigma_tau
 
 
-def dense_multistep_product(schedule, K: int, t_min: float = 0.0) -> float:
-    """Multiplier of x_T after the third-order dense reference rollout.
+def multistep_moments(h: float, q: int, in_lam: bool) -> np.ndarray:
+    """The integrals a dense step's weights must match on u^0 .. u^(q-1).
 
-    Replays, on the quadratic K-step grid t_min + (T - t_min) (j/K)^2, the
-    multistep exponential integrator in log-SNR: the baseline step less
-    sigma_to * [(expm1(h) - h)(d1 + h1 d2) + 2 (expm1(h) - h - h^2/2) d2],
-    with d1 = (eps - eps_prev)/h1 and d2 = (d1 - d1_prev)/(h1 + h2) from the
-    last three predictions, first order at the first step and at any step
-    ending below t_eps and second order (d2 = 0) at the second. With the
-    ideal prediction eps(x, t) = sigma_t * x every quantity is the state's
-    scalar multiple, so the rollout collapses to this scalar recurrence.
+    In log-SNR, int_0^h e^(h - u) u^k du = k! (e^h - sum_{i <= k} h^i / i!);
+    in rho, int_0^h u^k du = h^(k+1) / (k+1), entered with the sign of the
+    update x <- ratio x - sum_i w_i eps_i. The log-SNR closed form is taken
+    at 40 digits, where its cancellation costs nothing.
     """
-    pts = t_min + (schedule.T - t_min) * (np.arange(K + 1) / K) ** 2
-    m = 1.0
-    eps_prev = d1_prev = h1 = h2 = None
-    for j in range(K, 0, -1):
-        a_f, s_f = schedule.alpha_sigma(pts[j])
-        a_t, s_t = schedule.alpha_sigma(pts[j - 1])
-        eps = s_f * m
-        m_next = step_coefficient(schedule, pts[j], pts[j - 1], s_f) * m
-        if pts[j - 1] >= schedule.t_eps:
-            h = np.log(a_t / s_t) - np.log(a_f / s_f)
-            if eps_prev is not None:
-                d1 = (eps - eps_prev) / h1
-                d2 = 0.0 if d1_prev is None else (d1 - d1_prev) / (h1 + h2)
-                phi2 = np.expm1(h) - h
-                m_next -= s_t * (phi2 * (d1 + h1 * d2) + 2.0 * (phi2 - h * h / 2.0) * d2)
-                d1_prev = d1
-            eps_prev, h1, h2 = eps, h, h1
-        m = m_next
+    if not in_lam:
+        return np.array([-(h ** (k + 1)) / (k + 1) for k in range(q)])
+    with localcontext() as ctx:
+        ctx.prec = 40
+        H = Decimal(h)
+        e, out, term, partial = H.exp(), [], Decimal(1), Decimal(0)
+        for k in range(q):
+            partial += term
+            out.append(float(factorial(k) * (e - partial)))
+            term = term * H / (k + 1)
+    return np.array(out)
+
+
+def multistep_nodes(schedule, pts, j: int) -> tuple:
+    """(u, h, c, in_lam) of dense step j, from p_{j-1} down to p_j.
+
+    The step uses the q = min(4, j) latest predictions, at the nodes u_i =
+    z(p_{j-1-i}) - z(p_{j-1}), and integrates to h = z(p_j) - z(p_{j-1}),
+    with z = log-SNR where p_j >= t_eps and c = sigma_j, and z = sigma /
+    alpha with c = alpha_j below.
+    """
+    pts = np.asarray(pts, dtype=float)
+    q, in_lam = min(4, j), bool(pts[j] >= schedule.t_eps)
+    idx = [j] + [j - 1 - i for i in range(q)]  # the end, then the nodes
+    alpha, sigma = schedule.alpha_sigma(pts[idx])
+    z = schedule.log_snr(pts[idx]) if in_lam else sigma / alpha
+    return z[1:] - z[1], z[0] - z[1], sigma[0] if in_lam else alpha[0], in_lam
+
+
+def multistep_weights(schedule, pts) -> list:
+    """Each dense step's weights, solved from its moment conditions.
+
+    The weights w of step j solve sum_i w_i u_i^k = c ``multistep_moments``
+    for k < q, at the nodes of ``multistep_nodes``: a Vandermonde solve,
+    independent of how the library builds them.
+    """
+    rows = []
+    for j in range(1, len(pts)):
+        u, h, c, in_lam = multistep_nodes(schedule, pts, j)
+        V = np.vander(u, len(u), increasing=True).T
+        rows.append(c * np.linalg.solve(V, multistep_moments(h, len(u), in_lam)))
+    return rows
+
+
+def dense_multistep_product(schedule, K: int, t_min: float = 0.0) -> float:
+    """Multiplier of x_T after the fourth-order dense reference rollout.
+
+    Replays, on the quadratic K-step grid t_min + (T - t_min) (j/K)^2, each
+    step as x <- (alpha_to / alpha_from) x - sum_i w_i eps_{j-1-i}, newest
+    prediction first, with the weights of ``multistep_weights``. With the
+    ideal prediction eps(x, t) = sigma_t * x every state is x_T's scalar
+    multiple, so the rollout collapses to this scalar recurrence.
+    """
+    pts = t_min + (schedule.T - t_min) * (np.arange(K, -1, -1) / K) ** 2
+    alpha, sigma = schedule.alpha_sigma(pts)
+    m, eps = 1.0, []
+    for j, w in enumerate(multistep_weights(schedule, pts), start=1):
+        eps.append(sigma[j - 1] * m)
+        m = (alpha[j] / alpha[j - 1]) * m
+        for i, w_i in enumerate(w):
+            m -= w_i * eps[j - 1 - i]
     return m
 
 
 def dense_flow_per_step(x, model, points, record=None):
     """The dense reference rollout with one ``model.epsilon`` call per step.
 
-    The same multistep log-SNR integrator as ``analysis.dense_flow``,
-    written as a plain loop over (n, D) states on the decreasing points p_0
-    > ... > p_m: step k evaluates ``model.epsilon`` at p_{k-1}, and where
-    both ends have a finite log-SNR the baseline step is followed by the
-    second-order correction -sigma_to (expm1(h) - h) d1 and, from the third
-    such step, the third-order one
-    -sigma_to (h1 (expm1(h) - h) + 2 (expm1(h) - h - h^2/2)) d2, with
-    d1 = (eps - eps_prev)/h1 and d2 = (d1 - d1_prev)/(h1 + h2). The states
-    at the indices in record (all when None) are kept, in walking order.
+    The update of ``analysis.dense_flow``, written as a plain loop over
+    (n, D) states on the decreasing points p_0 > ... > p_m: step j
+    evaluates ``model.epsilon`` at p_{j-1}, multiplies the state by
+    alpha_j / alpha_{j-1}, then subtracts w_i eps_{j-1-i} for i < min(4, j),
+    newest first, with w = W[j - 1]. The weights are the library's
+    ``_dense_weights``, so that the states agree bit for bit; the weights
+    themselves are checked against ``multistep_moments``. The states at the
+    indices in record (all when None) are kept, in walking order.
     """
-    sched = model.schedule
     pts = np.asarray(points, dtype=float)
     m = len(pts) - 1
     keep = np.full(m + 1, True) if record is None else np.isin(np.arange(m + 1), record)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     states = [x] if keep[0] else []
-    alpha, sigma = sched.alpha_sigma(pts)
-    second = pts >= sched.t_eps
-    lam = np.zeros_like(pts)
-    lam[second] = sched.log_snr(pts[second])
-    eps_prev = d1_prev = h1 = h2 = None
-    for k in range(1, m + 1):
-        eps = model.epsilon(x, pts[k - 1])
-        a_f, s_f, a_t, s_t = alpha[k - 1], sigma[k - 1], alpha[k], sigma[k]
-        x = (a_t / a_f) * x - (a_t * s_f / a_f - s_t) * eps
-        if second[k]:
-            h = lam[k] - lam[k - 1]
-            if eps_prev is not None:
-                phi2 = expm1(h) - h
-                d1 = (eps - eps_prev) / h1
-                if d1_prev is not None:
-                    x -= (s_t * (h1 * phi2 + 2.0 * (phi2 - 0.5 * h * h)) / (h1 + h2)) * (d1 - d1_prev)
-                x -= (s_t * phi2) * d1
-                d1_prev = d1
-            eps_prev, h1, h2 = eps, h, h1
-        if keep[k]:
+    ratio, W = _dense_weights(model, pts)
+    eps = []
+    for j in range(1, m + 1):
+        eps.append(model.epsilon(x, pts[j - 1]))
+        x = ratio[j - 1] * x
+        for i in range(min(4, j)):
+            x = x - W[j - 1, i] * eps[j - 1 - i]
+        if keep[j]:
             states.append(x)
     return np.array(states).reshape((len(states),) + x.shape)
 

@@ -409,6 +409,19 @@ def test_cli_gap_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_gap_sidecar_records_its_reference(tmp_path, capsys):
+    # the sidecar names the dense reference the gaps are measured against;
+    # steps counts the grid after the checkpoints are merged into it: K = 4
+    # quadratic lies on the 200-step grid, K = 3 adds t = 1000/9 and 4000/9
+    for K, steps in ((4, 200), (3, 202)):
+        cfg = _small_cfg(tmp_path, trajectory={"kind": "quadratic", "K": K})
+        out = tmp_path / f"gap{K}.csv"
+        assert cli.main(["gap", "--config", cfg, "--out", str(out), "--n", "8"]) == 0
+        meta = json.loads(out.with_name(out.name + ".meta.json").read_text())
+        assert meta["reference"] == {"dense_K": 200, "order": 4, "steps": steps}
+    capsys.readouterr()
+
+
 def test_cli_csv_fields_are_plain_numbers(tmp_path, capsys):
     # every field of the headed tables is a repr of a Python int or float:
     # under numpy 2 the repr of a numpy scalar reads "np.float64(...)"
